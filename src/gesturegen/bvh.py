@@ -211,22 +211,23 @@ def parse_bvh(text: str):
         ln, words = peek()
         raise ParseError(f"trailing content after {n_frames} frames", line=ln)
 
-    J = len(joints)
+    pos_cols, pos_axes, rot_cols = _channel_columns(joints)
     root_translation = np.zeros((n_frames, 3))
-    rotations = np.zeros((n_frames, J, 3))
-    col = 0
-    for ji, joint in enumerate(joints):
-        r = 0
-        for ch in joint.channels:
-            if ch in _POSITION_CHANNELS:
-                root_translation[:, "XYZ".index(ch[0])] = data[:, col]
-            else:
-                rotations[:, ji, r] = data[:, col]
-                r += 1
-            col += 1
+    root_translation[:, pos_axes] = data[:, pos_cols]
+    rotations = data[:, rot_cols].reshape(n_frames, len(joints), 3)
     layout = JointLayout(skeleton.joint_names(), skeleton.rotation_orders(), EULER_DEGREES)
     clip = MotionClip(1.0 / frame_time, root_translation, rotations, layout)
     return skeleton, clip
+
+
+def _channel_columns(joints):
+    """Map motion-data columns to the clip: (position columns, their XYZ
+    axes, rotation columns). The rotation columns map in order onto
+    `rotations.reshape(F, 3 * J)`."""
+    channels = [ch for j in joints for ch in j.channels]
+    pos_cols = [c for c, ch in enumerate(channels) if ch in _POSITION_CHANNELS]
+    rot_cols = [c for c, ch in enumerate(channels) if ch in _ROTATION_CHANNELS]
+    return pos_cols, ["XYZ".index(channels[c][0]) for c in pos_cols], rot_cols
 
 
 def _floats(words, ln):
@@ -275,17 +276,11 @@ def write_bvh(skeleton: Skeleton, clip: MotionClip) -> str:
     out.append(f"Frames: {clip.frames}")
     # extra header precision keeps fps stable under parse/write cycles
     out.append(f"Frame Time: {1.0 / clip.fps:.12f}")
-    for f in range(clip.frames):
-        row = []
-        for ji, joint in enumerate(skeleton.joints):
-            r = 0
-            for ch in joint.channels:
-                if ch in _POSITION_CHANNELS:
-                    row.append(clip.root_translation[f, "XYZ".index(ch[0])])
-                else:
-                    row.append(clip.rotations[f, ji, r])
-                    r += 1
-        out.append(_fmt(row))
+    pos_cols, pos_axes, rot_cols = _channel_columns(skeleton.joints)
+    data = np.empty((clip.frames, len(pos_cols) + len(rot_cols)))
+    data[:, pos_cols] = clip.root_translation[:, pos_axes]
+    data[:, rot_cols] = clip.rotations.reshape(clip.frames, -1)
+    out.extend(_fmt(row) for row in data)
     return "\n".join(out) + "\n"
 
 
@@ -302,9 +297,8 @@ def clip_to_rotmat(clip: MotionClip) -> MotionClip:
         return clip
     F, J = clip.frames, clip.layout.joint_count
     rot = np.zeros((F, J, 9))
-    for ji, order in enumerate(clip.layout.orders):
-        for f in range(F):
-            rot[f, ji] = euler_to_rotmat(clip.rotations[f, ji], order).ravel()
+    for ji, order in enumerate(clip.layout.orders):  # one rotation order per joint
+        rot[:, ji] = euler_to_rotmat(clip.rotations[:, ji], order).reshape(F, 9)
     layout = replace(clip.layout, rep=ROTMAT9)
     return MotionClip(clip.fps, clip.root_translation.copy(), rot, layout)
 
@@ -315,12 +309,11 @@ def clip_to_euler(clip: MotionClip, orthonormalize: bool = False) -> MotionClip:
         return clip
     F, J = clip.frames, clip.layout.joint_count
     rot = np.zeros((F, J, 3))
-    for ji, order in enumerate(clip.layout.orders):
-        for f in range(F):
-            m = clip.rotations[f, ji].reshape(3, 3)
-            if orthonormalize:
-                m = nearest_rotation(m)
-            rot[f, ji] = rotmat_to_euler(m, order)
+    for ji, order in enumerate(clip.layout.orders):  # one rotation order per joint
+        m = clip.rotations[:, ji].reshape(F, 3, 3)
+        if orthonormalize:
+            m = nearest_rotation(m)
+        rot[:, ji] = rotmat_to_euler(m, order)
     layout = replace(clip.layout, rep=EULER_DEGREES)
     return MotionClip(clip.fps, clip.root_translation.copy(), rot, layout)
 
@@ -406,8 +399,5 @@ def features_to_clip(features: np.ndarray, fps: float, layout: JointLayout,
     F = features.shape[0]
     rot = features[:, 3:].reshape(F, J, 9)
     if orthonormalize:
-        rot = rot.copy()
-        for f in range(F):
-            for j in range(J):
-                rot[f, j] = nearest_rotation(rot[f, j].reshape(3, 3)).ravel()
+        rot = nearest_rotation(rot.reshape(F, J, 3, 3)).reshape(F, J, 9)
     return MotionClip(fps, features[:, :3].copy(), rot, replace(layout, rep=ROTMAT9))

@@ -7,10 +7,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from . import denoiser as dn
 from . import fusion as fu
 from . import metrics as mt
-from .bvh import clip_to_euler, clip_to_rotmat, features_to_clip, parse_bvh, write_bvh
+from .bvh import clip_to_euler, clip_to_features, features_to_clip, parse_bvh, write_bvh
 from .diffusion import build_schedule, sample_loop
 from .errors import ConfigError, DataError, NumericalError
 from .fileio import (read_checkpoint, read_float_lines, write_checkpoint, write_report)
@@ -19,9 +20,14 @@ from .synthetic import Dataset, load_dataset
 LOSS_HEADER = ["step", "l_total", "l_g", "l_s", "l_e"]
 
 
+def _condition_widths(dataset: Dataset):
+    """(audio, text) feature widths of a corpus's conditions."""
+    return (int(dataset.meta.get("d_audio", dataset.records[0].audio.shape[1])),
+            int(dataset.meta.get("d_text", dataset.records[0].text.shape[1])))
+
+
 def _model_configs(cfg: dict, dataset: Dataset):
-    d_audio = int(dataset.meta.get("d_audio", dataset.records[0].audio.shape[1]))
-    d_text = int(dataset.meta.get("d_text", dataset.records[0].text.shape[1]))
+    d_audio, d_text = _condition_widths(dataset)
     n_styles = int(dataset.meta.get("n_styles", max(r.style_id for r in dataset.records) + 1))
     n_emotions = int(dataset.meta.get("n_emotions", 8))
     fus = fu.FusionConfig(
@@ -135,9 +141,12 @@ def run_sample(checkpoint_path, conditions_dir, n: int, seed: int, out_dir,
     out.mkdir(parents=True, exist_ok=True)
     model, cfg, _, _ = load_model(checkpoint_path)
     dataset = load_dataset(conditions_dir)
-    if dataset.gesture_dim != model.denoiser.config.gesture_dim:
-        raise ConfigError(f"conditions gesture dim {dataset.gesture_dim} does not match "
-                          f"checkpoint {model.denoiser.config.gesture_dim}")
+    fus = model.fusion.config
+    widths = (dataset.gesture_dim, *_condition_widths(dataset))
+    expected = (model.denoiser.config.gesture_dim, fus.d_audio, fus.d_text_raw)
+    if widths != expected:
+        raise ConfigError(f"conditions (gesture, audio, text) widths {widths} do not match "
+                          f"checkpoint {expected}")
     schedule = build_schedule(cfg["diffusion.steps"], cfg["diffusion.beta_start"],
                               cfg["diffusion.beta_end"])
     records = dataset.records[:max_conditions] if max_conditions else dataset.records
@@ -166,26 +175,21 @@ def _load_gen_corpus(directory):
     return [(p.stem, parse_bvh(p.read_text())[1]) for p in files]
 
 
-def get_extractor(ref_dataset_dir, cfg: dict, cache_dir=None):
+def get_extractor(ref_dataset_dir, cfg: dict):
     """Train (or load a cached) reconstruction feature extractor on the
-    reference corpus."""
+    reference corpus. The cache `<ref>/fgd_extractor.ckpt` is reused only if its
+    seed, steps and hidden width match `cfg`; otherwise it is retrained and overwritten."""
     ref = load_dataset(ref_dataset_dir)
-    cache = Path(cache_dir or ref_dataset_dir) / "fgd_extractor.ckpt"
-    clips = [r.clip for r in ref.records]
+    cache = Path(ref_dataset_dir) / "fgd_extractor.ckpt"
+    key = {"seed": cfg["seed"], "steps": cfg["eval.extractor_steps"],
+           "hidden": cfg["eval.extractor_hidden"]}
     if cache.is_file():
         arrays, meta, _ = read_checkpoint(cache)
-        ext, _ = mt.train_fgd_extractor(clips[:2], seed=int(meta["seed"]), steps=0,
-                                        hidden=int(meta["hidden"]))
-        for k, p in ext.named().items():
-            p.value = np.array(arrays[k], dtype=np.float64)
-        ext.steps = int(meta["steps"])
-        return ext, ref
-    ext, _ = mt.train_fgd_extractor(clips, seed=cfg["seed"],
-                                    steps=cfg["eval.extractor_steps"],
-                                    hidden=cfg["eval.extractor_hidden"])
-    write_checkpoint(cache, {k: p.value for k, p in ext.named().items()},
-                     {"seed": cfg["seed"], "steps": cfg["eval.extractor_steps"],
-                      "hidden": cfg["eval.extractor_hidden"]}, cfg["eval.extractor_steps"])
+        if meta == {k: str(v) for k, v in key.items()}:
+            weights = {k: ad.tensor(v) for k, v in arrays.items()}
+            return mt.FeatureExtractor(*ref.records[0].x0.shape, **key, **weights), ref
+    ext, _ = mt.train_fgd_extractor([r.x0 for r in ref.records], **key)
+    write_checkpoint(cache, {k: p.value for k, p in ext.named().items()}, key, key["steps"])
     return ext, ref
 
 
@@ -193,17 +197,17 @@ def run_eval(gen_dir, ref_dir, cfg: dict, out_dir=None) -> dict:
     """Full metric suite for a generated corpus against a reference corpus."""
     ext, ref = get_extractor(ref_dir, cfg)
     gen = _load_gen_corpus(gen_dir)
-    gen_clips = [c for _, c in gen]
-    ref_clips = [r.clip for r in ref.records]
+    gen_mats = [clip_to_features(c) for _, c in gen]
+    as_rotmat = lambda feats, c: features_to_clip(feats, c.fps, c.layout, orthonormalize=False)
 
-    ref_feats = ext.features(ref_clips)
-    gen_feats = ext.features(gen_clips)
+    ref_feats = ext.features([r.x0 for r in ref.records])
+    gen_feats = ext.features(gen_mats)
     report = {
         "fgd": mt.frechet_distance(ref_feats, gen_feats),
         "diversity": mt.diversity_score(gen_feats, n=cfg["eval.n_diversity"], seed=cfg["seed"]),
-        "l1div": mt.l1_diversity(gen_clips),
-        "n_gen": len(gen_clips),
-        "n_ref": len(ref_clips),
+        "l1div": mt.l1_diversity(gen_mats),
+        "n_gen": len(gen),
+        "n_ref": len(ref.records),
         "seed": cfg["seed"],
     }
 
@@ -211,7 +215,7 @@ def run_eval(gen_dir, ref_dir, cfg: dict, out_dir=None) -> dict:
     # back to index order
     by_name = {r.name: r for r in ref.records}
     aligns, srgrs = [], []
-    for i, (name, clip) in enumerate(gen):
+    for i, ((name, clip), mat) in enumerate(zip(gen, gen_mats)):
         rec = by_name.get(name.split(".")[0], ref.records[i % len(ref.records)])
         onsets = rec.onsets
         if onsets.size == 0:
@@ -220,7 +224,7 @@ def run_eval(gen_dir, ref_dir, cfg: dict, out_dir=None) -> dict:
                                     sigma=cfg["eval.sigma"]))
         if clip.rotations.shape == rec.clip.rotations.shape:
             # threshold lives in rotation-matrix element space
-            srgrs.append(mt.srgr(clip_to_rotmat(clip), clip_to_rotmat(rec.clip),
+            srgrs.append(mt.srgr(as_rotmat(mat, clip), as_rotmat(rec.x0, rec.clip),
                                  threshold=cfg["eval.threshold"]))
     report["beat_align"] = float(np.mean(aligns))
     report["srgr"] = float(np.mean(srgrs)) if srgrs else ""

@@ -112,6 +112,22 @@ def test_eval_uses_cached_extractor(mini_corpus, mini_cfg):
     assert np.array_equal(ext1.enc_w1.value, ext2.enc_w1.value)
 
 
+def test_extractor_cache_retrains_on_config_change(tmp_path, mini_cfg):
+    corpus = tmp_path / "data"
+    spec = synthetic.SyntheticSpec(n_clips=3, frames=20, joints=2, seed=3)
+    synthetic.gen_synthetic_dataset(spec, corpus)
+    cfg = dict(mini_cfg, **{"eval.extractor_steps": 3, "eval.extractor_hidden": 8})
+    assert harness.get_extractor(corpus, cfg)[0].hidden == 8
+    cfg["eval.extractor_hidden"] = 16
+    ext, _ = harness.get_extractor(corpus, cfg)
+    assert ext.hidden == 16 and ext.enc_w1.value.shape[1] == 16
+    _, meta, _ = read_checkpoint(corpus / "fgd_extractor.ckpt")
+    assert meta["hidden"] == "16"
+    cached, _ = harness.get_extractor(corpus, cfg)
+    assert cached.hidden == 16
+    assert np.array_equal(cached.enc_w1.value, ext.enc_w1.value.astype(np.float32))
+
+
 def test_ablation_variant_lists():
     names = [n for n, _ in harness.ablation_variants()]
     assert len(names) == 16
@@ -172,6 +188,16 @@ def test_cli_exit_codes(tmp_path, mini_corpus, capsys):
     cfg.write_text(f"data.dir = {empty}\ntrain.steps = 1\n")
     assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
     capsys.readouterr()
+
+
+def test_cli_sample_rejects_condition_width_mismatch(tmp_path, mini_run, mini_cfg, capsys):
+    corpus = tmp_path / "narrow"
+    narrow = dict(mini_cfg, **{"synthetic.d_audio": 12, "synthetic.n_clips": 2})
+    synthetic.gen_synthetic_dataset(synthetic.SyntheticSpec.from_config(narrow), corpus)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"data.dir = {corpus}\ndata.checkpoint = {mini_run['checkpoint']}\n")
+    assert cli.main(["sample", "--config", str(cfg), "--out", str(tmp_path / "gen")]) == 2
+    assert "(39, 12, 8)" in capsys.readouterr().err
 
 
 def test_cli_exit_code_numerical(tmp_path, mini_corpus, capsys):

@@ -63,6 +63,40 @@ def test_nearest_rotation_projects(rng):
     assert np.abs(rot.nearest_rotation(exact) - exact).max() < 1e-12
 
 
+@pytest.mark.parametrize("order", ORDERS)
+def test_stacked_kernels_equal_per_matrix_calls(order, rng):
+    angles = rng.uniform(-180, 180, (6, 4, 3))
+    mats = rot.euler_to_rotmat(angles, order)
+    assert mats.shape == (6, 4, 3, 3)
+    assert np.array_equal(mats, [[rot.euler_to_rotmat(a, order) for a in row] for row in angles])
+    noisy = mats + rng.normal(0, 0.05, mats.shape)
+    snapped = rot.nearest_rotation(noisy)
+    assert np.array_equal(snapped, [[rot.nearest_rotation(m) for m in row] for row in noisy])
+    back = rot.rotmat_to_euler(snapped, order)
+    assert back.shape == (6, 4, 3)
+    assert np.array_equal(back, [[rot.rotmat_to_euler(m, order) for m in row] for row in snapped])
+
+
+def test_nearest_rotation_stack_with_reflection():
+    exact = rot.euler_to_rotmat([10, 20, 30], "XYZ")
+    reflected = exact @ np.diag([1.0, 1.0, -1.0])  # det -1
+    out = rot.nearest_rotation(np.stack([reflected, exact]))
+    assert np.allclose(np.linalg.det(out), 1.0)
+    assert np.abs(np.swapaxes(out, -1, -2) @ out - np.eye(3)).max() < 1e-12
+    assert np.abs(out[1] - exact).max() < 1e-12
+    assert np.array_equal(out[0], rot.nearest_rotation(reflected))
+
+
+def test_rotmat_to_euler_rejects_one_bad_matrix_in_stack(rng):
+    mats = rot.euler_to_rotmat(rng.uniform(-90, 90, (5, 3)), "ZXY")
+    mats[3] = mats[3] * 1.01
+    with pytest.raises(GeometryError):
+        rot.rotmat_to_euler(mats, "ZXY")
+    mats[3] = -rot.euler_to_rotmat([1, 2, 3], "ZXY")  # orthonormal, det -1
+    with pytest.raises(GeometryError):
+        rot.rotmat_to_euler(mats, "ZXY")
+
+
 def test_invalid_order_rejected():
     with pytest.raises(ValueError):
         rot.euler_to_rotmat([0, 0, 0], "XXY")
@@ -90,6 +124,23 @@ def test_write_parse_roundtrip(joints, frames, rng):
     assert abs(clip2.fps - clip.fps) < 1e-6
     # second round trip is byte-stable (values already quantized)
     assert bvh.write_bvh(skel2, clip2) == text
+
+
+def test_roundtrip_interleaved_root_channels(rng):
+    skel, clip = _random_clip(rng, 3, 4)
+    skel.joints[0].channels = ["Zrotation", "Xposition", "Yrotation",
+                               "Yposition", "Xrotation", "Zposition"]
+    text = bvh.write_bvh(skel, clip)
+    first = text.split("Frame Time:")[1].splitlines()[1].split()
+    want = [clip.rotations[0, 0, 0], clip.root_translation[0, 0], clip.rotations[0, 0, 1],
+            clip.root_translation[0, 1], clip.rotations[0, 0, 2], clip.root_translation[0, 2]]
+    assert first[:6] == [f"{v:.6f}" for v in want]
+    skel2, clip2 = bvh.parse_bvh(text)
+    assert skel2.joints[0].channels == skel.joints[0].channels
+    assert clip2.layout.orders == ["ZYX", "ZXY", "ZXY"]
+    assert np.abs(clip2.rotations - clip.rotations).max() < 1e-6
+    assert np.abs(clip2.root_translation - clip.root_translation).max() < 1e-6
+    assert bvh.write_bvh(*bvh.parse_bvh(text)) == text
 
 
 def test_parse_real_corpus_files(toy_corpus):
@@ -146,6 +197,21 @@ def test_rotmat_roundtrip(rng):
     back = bvh.clip_to_euler(rm)
     r1 = bvh.clip_to_rotmat(back)
     assert np.abs(rm.rotations - r1.rotations).max() < 1e-9
+
+
+def test_rotmat_roundtrip_mixed_orders(rng):
+    orders = ["XYZ", "YZX", "ZYX", "XZY"]
+    layout = bvh.JointLayout([f"j{i}" for i in range(4)], orders)
+    angles = rng.uniform(-80, 80, (7, 4, 3))
+    clip = bvh.MotionClip(30.0, rng.normal(0, 1, (7, 3)), angles, layout)
+    rm = bvh.clip_to_rotmat(clip)
+    for j, order in enumerate(orders):
+        assert np.array_equal(rm.rotations[:, j].reshape(7, 3, 3),
+                              rot.euler_to_rotmat(angles[:, j], order))
+    for orthonormalize in (False, True):
+        back = bvh.clip_to_euler(rm, orthonormalize=orthonormalize)
+        assert back.layout.orders == orders
+        assert np.abs(back.rotations - angles).max() < 1e-9
 
 
 def test_clip_to_euler_orthonormalize_flag(rng):
