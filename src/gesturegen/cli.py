@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: gen-synthetic, train, sample, eval, ablate. Exit codes:
-0 success, 2 configuration error, 3 data error, 4 numerical failure.
+0 success, 2 configuration error, 3 data or I/O error, 4 numerical failure.
 """
 from __future__ import annotations
 
@@ -69,6 +69,9 @@ def main(argv=None) -> int:
         return 2
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
+        return 3
+    except OSError as e:
+        print(f"I/O error: {e}", file=sys.stderr)
         return 3
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)

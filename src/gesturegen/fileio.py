@@ -7,6 +7,7 @@ little-endian float32 payloads, so reloads are bit-exact.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -55,19 +56,26 @@ def read_features(path):
 
 def write_checkpoint(path, arrays: dict, config: dict, step: int):
     """Text header (magic, config key=value lines, step), then named
-    little-endian float32 arrays: name line, shape line, raw bytes."""
-    with open(path, "wb") as f:
-        f.write(CKPT_MAGIC + b"\n")
-        for k in sorted(config):
-            f.write(f"{k}={config[k]}\n".encode())
-        f.write(f"step={step}\n".encode())
-        f.write(b"--\n")
-        for name in sorted(arrays):
-            arr = np.ascontiguousarray(arrays[name], dtype="<f4")
-            f.write(name.encode() + b"\n")
-            f.write(" ".join(str(s) for s in arr.shape).encode() + b"\n")
-            f.write(arr.tobytes())
-            f.write(b"\n")
+    little-endian float32 arrays: name line, shape line, raw bytes.
+    Written to `<path>.tmp`, then moved into place: a failed write keeps the old file."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CKPT_MAGIC + b"\n")
+            for k in sorted(config):
+                f.write(f"{k}={config[k]}\n".encode())
+            f.write(f"step={step}\n".encode())
+            f.write(b"--\n")
+            for name in sorted(arrays):
+                arr = np.ascontiguousarray(arrays[name], dtype="<f4")
+                f.write(name.encode() + b"\n")
+                f.write(" ".join(str(s) for s in arr.shape).encode() + b"\n")
+                f.write(arr.tobytes())
+                f.write(b"\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_checkpoint(path):

@@ -13,33 +13,34 @@ from . import fusion as fu
 from . import metrics as mt
 from .bvh import clip_to_euler, clip_to_features, features_to_clip, parse_bvh, write_bvh
 from .diffusion import build_schedule, sample_loop
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, GestureGenError, NumericalError
 from .fileio import (read_checkpoint, read_float_lines, write_checkpoint, write_report)
 from .synthetic import Dataset, load_dataset
 
 LOSS_HEADER = ["step", "l_total", "l_g", "l_s", "l_e"]
 
 
-def _condition_widths(dataset: Dataset):
-    """(audio, text) feature widths of a corpus's conditions."""
-    return (int(dataset.meta.get("d_audio", dataset.records[0].audio.shape[1])),
-            int(dataset.meta.get("d_text", dataset.records[0].text.shape[1])))
+def _corpus_widths(dataset: Dataset):
+    """(gesture, audio, text, styles, emotions) widths of a corpus."""
+    return (dataset.gesture_dim,
+            int(dataset.meta.get("d_audio", dataset.records[0].audio.shape[1])),
+            int(dataset.meta.get("d_text", dataset.records[0].text.shape[1])),
+            int(dataset.meta.get("n_styles", max(r.style_id for r in dataset.records) + 1)),
+            int(dataset.meta.get("n_emotions", 8)))
 
 
-def _model_configs(cfg: dict, dataset: Dataset):
-    d_audio, d_text = _condition_widths(dataset)
-    n_styles = int(dataset.meta.get("n_styles", max(r.style_id for r in dataset.records) + 1))
-    n_emotions = int(dataset.meta.get("n_emotions", 8))
+def _model_configs(cfg: dict, gesture_dim: int, d_audio: int, d_text: int,
+                   n_styles: int, n_emotions: int):
     fus = fu.FusionConfig(
         d=cfg["model.d"], d_audio=d_audio, d_text_raw=d_text,
         n_styles=n_styles, n_emotions=n_emotions,
-        gesture_dim=dataset.gesture_dim, window=cfg["model.window"],
+        gesture_dim=gesture_dim, window=cfg["model.window"],
         mode=cfg["model.mode"], mask_prob=cfg["model.mask_prob"])
     den = dn.DenoiserConfig(
         layers=cfg["model.layers"], use_attention=cfg["model.use_attention"],
         use_mamba=cfg["model.use_mamba"], use_conv=cfg["model.use_conv"],
         residual=cfg["model.residual"], d=cfg["model.d"],
-        gesture_dim=dataset.gesture_dim, n_state=cfg["model.n_state"],
+        gesture_dim=gesture_dim, n_state=cfg["model.n_state"],
         expand=cfg["model.expand"])
     return den, fus
 
@@ -63,7 +64,7 @@ def run_train(cfg: dict, dataset_dir, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dataset = load_dataset(dataset_dir)
-    den_cfg, fus_cfg = _model_configs(cfg, dataset)
+    den_cfg, fus_cfg = _model_configs(cfg, *_corpus_widths(dataset))
     model = dn.build_model(den_cfg, fus_cfg, cfg["seed"])
     schedule = build_schedule(cfg["diffusion.steps"], cfg["diffusion.beta_start"],
                               cfg["diffusion.beta_end"])
@@ -106,23 +107,10 @@ def load_model(checkpoint_path):
     arrays, raw_cfg, step = read_checkpoint(checkpoint_path)
     from .config import DEFAULTS, _coerce
 
-    cfg = {}
-    for k, v in raw_cfg.items():
-        cfg[k] = _coerce(k, v) if k in DEFAULTS else v
-    gesture_dim = int(raw_cfg["data.gesture_dim"])
-    fus = fu.FusionConfig(
-        d=cfg["model.d"],
-        d_audio=int(arrays["fusion.dis_w_s"].shape[0]),
-        d_text_raw=int(arrays["fusion.text_w"].shape[0]),
-        n_styles=int(arrays["fusion.style_enc"].shape[0]),
-        n_emotions=int(arrays["fusion.emotion_enc"].shape[0]),
-        gesture_dim=gesture_dim, window=cfg["model.window"],
-        mode=cfg["model.mode"], mask_prob=cfg["model.mask_prob"])
-    den = dn.DenoiserConfig(
-        layers=cfg["model.layers"], use_attention=cfg["model.use_attention"],
-        use_mamba=cfg["model.use_mamba"], use_conv=cfg["model.use_conv"],
-        residual=cfg["model.residual"], d=cfg["model.d"], gesture_dim=gesture_dim,
-        n_state=cfg["model.n_state"], expand=cfg["model.expand"])
+    cfg = {k: _coerce(k, v) if k in DEFAULTS else v for k, v in raw_cfg.items()}
+    den, fus = _model_configs(cfg, int(raw_cfg["data.gesture_dim"]),
+                              *(int(arrays[f"fusion.{k}"].shape[0])
+                                for k in ("dis_w_s", "text_w", "style_enc", "emotion_enc")))
     model = dn.build_model(den, fus, int(cfg.get("seed", 0)))
     params = model.named_params()
     missing = set(params) - set(arrays)
@@ -142,7 +130,7 @@ def run_sample(checkpoint_path, conditions_dir, n: int, seed: int, out_dir,
     model, cfg, _, _ = load_model(checkpoint_path)
     dataset = load_dataset(conditions_dir)
     fus = model.fusion.config
-    widths = (dataset.gesture_dim, *_condition_widths(dataset))
+    widths = _corpus_widths(dataset)[:3]
     expected = (model.denoiser.config.gesture_dim, fus.d_audio, fus.d_text_raw)
     if widths != expected:
         raise ConfigError(f"conditions (gesture, audio, text) widths {widths} do not match "
@@ -271,7 +259,8 @@ def ablation_variants():
 def run_ablation(cfg: dict, dataset_dir, out_dir) -> list:
     """Train + sample + evaluate every ablation variant on one corpus.
 
-    Per-row failures are recorded and the run continues. Returns the list
+    Package errors (`GestureGenError`) are recorded per row and the run
+    continues; any other exception is a bug and propagates. Returns the list
     of row dicts and writes a fixed-width table plus per-row reports.
     """
     out = Path(out_dir)
@@ -290,7 +279,7 @@ def run_ablation(cfg: dict, dataset_dir, out_dir) -> list:
             report = run_eval(vdir / "samples", dataset_dir, variant_cfg, out_dir=vdir)
             for col in METRIC_COLUMNS:
                 row[col] = report[col]
-        except Exception as e:  # record and continue with the next variant
+        except GestureGenError as e:  # record and continue with the next variant
             row["error"] = f"{type(e).__name__}: {e}"
         rows.append(row)
 

@@ -1,8 +1,10 @@
 """Selective state-space sequence modeling.
 
 Continuous diagonal SSM, its discretization, the input-dependent scan in
-sequential (differentiable) and parallel prefix-combine forms, and the
-gated Mamba block that wires them together.
+sequential, fused (both differentiable) and parallel prefix-combine
+forms, and the gated Mamba block that wires them together. The
+sequential and fused scans share one linear recurrence: forward for the
+states, and over the reversed sequence for the adjoint.
 """
 from __future__ import annotations
 
@@ -50,13 +52,20 @@ def discretize_zoh(a: np.ndarray, b: np.ndarray, delta: float):
     return np.exp(delta * a), delta * b
 
 
+def _linear_recurrence(a: np.ndarray, h: np.ndarray) -> None:
+    """h_k = a_{k-1} h_{k-1} + b_k along axis 0 from a zero start, in place:
+    h holds b on entry and the states on exit; len(a) == len(h) - 1."""
+    for k in range(len(a)):
+        h[k + 1] += a[k] * h[k]
+
+
 def selective_scan_seq(abar: Tensor, bbar: Tensor, cmat: Tensor, d: Tensor, u: Tensor) -> Tensor:
     """Differentiable sequential scan of the per-step recurrence.
 
     h_k = abar_k * h_{k-1} + bbar_k * u_k,  y_k = <cmat_k, h_k> + d * u_k
 
     Shapes: abar/bbar/cmat L x C x N, d C, u L x C. The state starts at
-    zero. Backward runs the adjoint recurrence in reverse.
+    zero. Backward runs lam_k = cmat_k g_k + abar_{k+1} lam_{k+1} in reverse.
     """
     abar, bbar, cmat = ad._as_tensor(abar), ad._as_tensor(bbar), ad._as_tensor(cmat)
     d, u = ad._as_tensor(d), ad._as_tensor(u)
@@ -66,25 +75,19 @@ def selective_scan_seq(abar: Tensor, bbar: Tensor, cmat: Tensor, d: Tensor, u: T
     if abar.value.shape[:2] != (L, C):
         raise ShapeError(f"scan params {abar.value.shape} do not match input {u.value.shape}")
 
-    h = np.zeros((L, C, abar.value.shape[2]))
-    state = np.zeros((C, abar.value.shape[2]))
-    for k in range(L):
-        state = abar.value[k] * state + bbar.value[k] * u.value[k][:, None]
-        h[k] = state
+    h = bbar.value * u.value[:, :, None]
+    _linear_recurrence(abar.value[1:], h)
     y = (cmat.value * h).sum(axis=2) + d.value * u.value
     out = Tensor(y, (abar, bbar, cmat, d, u))
 
     def bwd(g):
         cmat.grad += g[:, :, None] * h
         d.grad += (g * u.value).sum(axis=0)
-        lam = np.zeros_like(state)
-        for k in range(L - 1, -1, -1):
-            lam = cmat.value[k] * g[k][:, None] + lam
-            prev = h[k - 1] if k > 0 else np.zeros_like(state)
-            abar.grad[k] += lam * prev
-            bbar.grad[k] += lam * u.value[k][:, None]
-            u.grad[k] += (bbar.value[k] * lam).sum(axis=1) + d.value * g[k]
-            lam = abar.value[k] * lam
+        lam = cmat.value * g[:, :, None]
+        _linear_recurrence(abar.value[:0:-1], lam[::-1])
+        abar.grad[1:] += lam[1:] * h[:-1]
+        bbar.grad += lam * u.value[:, :, None]
+        u.grad += (bbar.value * lam).sum(axis=2) + d.value * g
 
     out._bwd = bwd
     return out
@@ -144,31 +147,26 @@ def selective_scan_fused(delta: Tensor, b_proj: Tensor, c_proj: Tensor,
                          f"{b_proj.value.shape} / {c_proj.value.shape}")
 
     abar = np.exp(delta.value[:, :, None] * a.value[None])  # L x C x N
-    h = np.zeros((L, C, N))
-    state = np.zeros((C, N))
-    for k in range(L):
-        bbar_k = delta.value[k][:, None] * b_proj.value[k][None, :]
-        state = abar[k] * state + bbar_k * u.value[k][:, None]
-        h[k] = state
+    h = delta.value[:, :, None] * b_proj.value[:, None, :] * u.value[:, :, None]
+    _linear_recurrence(abar[1:], h)
     y = np.einsum("ln,lcn->lc", c_proj.value, h) + d_skip.value * u.value
     out = Tensor(y, (delta, b_proj, c_proj, a, d_skip, u))
 
     def bwd(g):
         c_proj.grad += np.einsum("lc,lcn->ln", g, h)
         d_skip.grad += (g * u.value).sum(axis=0)
-        lam = np.zeros((C, N))
-        for k in range(L - 1, -1, -1):
-            lam = lam + c_proj.value[k][None, :] * g[k][:, None]
-            prev = h[k - 1] if k > 0 else 0.0
-            g_abar = lam * prev
-            g_bbar = lam * u.value[k][:, None]
-            delta.grad[k] += (g_abar * abar[k] * a.value).sum(axis=1) \
-                + (g_bbar * b_proj.value[k][None, :]).sum(axis=1)
-            a.grad += g_abar * abar[k] * delta.value[k][:, None]
-            b_proj.grad[k] += (g_bbar * delta.value[k][:, None]).sum(axis=0)
-            u.grad[k] += (delta.value[k][:, None] * b_proj.value[k][None, :] * lam).sum(axis=1) \
-                + d_skip.value * g[k]
-            lam = abar[k] * lam
+        lam = c_proj.value[:, None, :] * g[:, :, None]
+        _linear_recurrence(abar[:0:-1], lam[::-1])
+        # chain through bbar = delta * b (lam_b = sum_n lam * b) and, from k = 1 on
+        # (h_{-1} = 0), through abar = exp(delta * a) (g_da = dL / d(delta * a))
+        lam_b = np.einsum("lcn,ln->lc", lam, b_proj.value)
+        g_da = lam[1:] * h[:-1] * abar[1:]
+        g_delta = lam_b * u.value
+        g_delta[1:] += np.einsum("lcn,cn->lc", g_da, a.value)
+        delta.grad += g_delta
+        a.grad += np.einsum("lcn,lc->cn", g_da, delta.value[1:])
+        b_proj.grad += np.einsum("lcn,lc->ln", lam, delta.value * u.value)
+        u.grad += lam_b * delta.value + d_skip.value * g
 
     out._bwd = bwd
     return out

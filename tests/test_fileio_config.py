@@ -53,6 +53,17 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, rng):
     assert path.read_bytes() == (tmp_path / "m2.ckpt").read_bytes()
 
 
+def test_checkpoint_failed_write_keeps_old_file(tmp_path, rng):
+    path = tmp_path / "m.ckpt"
+    fileio.write_checkpoint(path, {"w": rng.normal(0, 1, (3, 4))}, {"model.d": 64}, step=1)
+    before = path.read_bytes()
+    with pytest.raises(ValueError):  # "z" is written after "a" and cannot become float32
+        fileio.write_checkpoint(path, {"a": np.ones(2), "z": "not a number"}, {}, step=2)
+    assert path.read_bytes() == before
+    assert fileio.read_checkpoint(path)[2] == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
 def test_checkpoint_rejects_bad_magic(tmp_path):
     p = tmp_path / "bad.ckpt"
     p.write_bytes(b"WRONG\n--\n")

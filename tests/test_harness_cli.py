@@ -1,10 +1,12 @@
 """Experiment harness (train/sample/eval) and the CLI surface."""
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from gesturegen import cli, harness, synthetic
+from gesturegen.errors import DataError
 from gesturegen.fileio import read_checkpoint
 
 
@@ -137,6 +139,23 @@ def test_ablation_variant_lists():
     assert {"fusion-SA", "fusion-SEA", "fusion-SEAD-basic", "fusion-SEAD"} <= set(names)
 
 
+def test_ablation_records_package_errors_and_raises_bugs(tmp_path, mini_cfg, monkeypatch):
+    def failing(exc):
+        def run_train(cfg, dataset_dir, out_dir):
+            raise exc
+        return run_train
+
+    monkeypatch.setattr(harness, "run_train", failing(DataError("no clips")))
+    rows = harness.run_ablation(mini_cfg, tmp_path / "data", tmp_path / "a")
+    assert [r["name"] for r in rows] == [n for n, _ in harness.ablation_variants()]
+    assert all(r["error"] == "DataError: no clips" for r in rows)
+    assert "FAILED: DataError: no clips" in (tmp_path / "a" / "ablation.txt").read_text()
+
+    monkeypatch.setattr(harness, "run_train", failing(RuntimeError("a bug")))
+    with pytest.raises(RuntimeError, match="a bug"):
+        harness.run_ablation(mini_cfg, tmp_path / "data", tmp_path / "b")
+
+
 # -- CLI ----------------------------------------------------------------
 
 
@@ -188,6 +207,19 @@ def test_cli_exit_codes(tmp_path, mini_corpus, capsys):
     cfg.write_text(f"data.dir = {empty}\ntrain.steps = 1\n")
     assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
     capsys.readouterr()
+
+    # 3: file-system problems (--out below a regular file; a missing feature file)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    cfg.write_text(f"data.dir = {mini_corpus}\ntrain.steps = 1\n")
+    assert cli.main(["train", "--config", str(cfg), "--out", str(afile / "sub")]) == 3
+    assert capsys.readouterr().err.startswith("I/O error")
+    partial = tmp_path / "partial"
+    shutil.copytree(mini_corpus, partial)
+    (partial / "clip_0003.audio.feat").unlink()
+    cfg.write_text(f"data.dir = {partial}\ntrain.steps = 1\n")
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("I/O error")
 
 
 def test_cli_sample_rejects_condition_width_mismatch(tmp_path, mini_run, mini_cfg, capsys):

@@ -38,8 +38,9 @@ def test_scan_causality(rng):
     assert not np.allclose(base[10:], bumped[10:])
 
 
-def test_scan_gradients(rng):
-    abar, bbar, cmat, d, u = random_scan_case(rng, 6, C=2, N=3)
+@pytest.mark.parametrize("L", [6, 1])
+def test_scan_gradients(L, rng):
+    abar, bbar, cmat, d, u = random_scan_case(rng, L, C=2, N=3)
     consts = dict(abar=abar, bbar=bbar, cmat=cmat, d=d, u=u)
     for name in consts:
         def op(x, name=name):
@@ -66,8 +67,9 @@ def test_fused_scan_matches_composite(rng):
     assert np.abs(want - got).max() < 1e-12
 
 
-def test_fused_scan_gradients(rng):
-    L, C, N = 5, 3, 3
+@pytest.mark.parametrize("L", [5, 1])
+def test_fused_scan_gradients(L, rng):
+    C, N = 3, 3
     consts = dict(delta=rng.uniform(0.1, 0.8, (L, C)),
                   b_proj=rng.normal(0, 1, (L, N)),
                   c_proj=rng.normal(0, 1, (L, N)),
@@ -81,6 +83,36 @@ def test_fused_scan_gradients(rng):
             return ssm.selective_scan_fused(args["delta"], args["b_proj"], args["c_proj"],
                                             args["a"], args["d"], args["u"])
         assert ad.finite_diff_check(op, consts[name]) < 1e-6, name
+
+
+@pytest.mark.parametrize("L", [1, 2, 9])
+def test_fused_scan_gradients_chain_sequential(L, rng):
+    """Fused-scan gradients equal the sequential scan's gradients chained
+    through abar = exp(delta * a), bbar = delta * b and cmat = c."""
+    C, N = 4, 5
+    delta = rng.uniform(0.05, 1.0, (L, C))
+    b_proj = rng.normal(0, 1, (L, N))
+    c_proj = rng.normal(0, 1, (L, N))
+    a = -rng.uniform(0.2, 2.0, (C, N))
+    d = rng.normal(0, 1, C)
+    u = rng.normal(0, 1, (L, C))
+    g = ad.tensor(rng.normal(0, 1, (L, C)))
+    fused = [ad.tensor(v) for v in (delta, b_proj, c_proj, a, d, u)]
+    (ssm.selective_scan_fused(*fused) * g).sum().backward()
+
+    abar = np.exp(delta[:, :, None] * a[None])
+    bbar = np.broadcast_to(delta[:, :, None] * b_proj[:, None, :], (L, C, N)).copy()
+    cmat = np.broadcast_to(c_proj[:, None, :], (L, C, N)).copy()
+    seq = [ad.tensor(v) for v in (abar, bbar, cmat, d, u)]
+    (ssm.selective_scan_seq(*seq) * g).sum().backward()
+    g_abar, g_bbar, g_cmat, g_d, g_u = (t.grad for t in seq)
+    want = [(g_abar * abar * a).sum(axis=2) + (g_bbar * b_proj[:, None, :]).sum(axis=2),
+            (g_bbar * delta[:, :, None]).sum(axis=1),
+            g_cmat.sum(axis=1),
+            (g_abar * abar * delta[:, :, None]).sum(axis=0),
+            g_d, g_u]
+    for name, t, w in zip(("delta", "b_proj", "c_proj", "a", "d", "u"), fused, want):
+        assert np.abs(t.grad - w).max() / max(1.0, np.abs(w).max()) < 1e-12, name
 
 
 def test_discretize_zoh_values():
