@@ -191,6 +191,8 @@ def parse_bvh(text: str):
         n_frames = int(words[1])
     except (IndexError, ValueError):
         raise ParseError("Frames: needs an integer", line=ln)
+    if n_frames < 1:
+        raise ParseError(f"Frames: must be at least 1, got {n_frames}", line=ln)
     ln, words = take("Frame")
     if len(words) < 3 or words[1] != "Time:":
         raise ParseError("expected 'Frame Time:'", line=ln)

@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: gen-synthetic, train, sample, eval, ablate. Exit codes:
-0 success, 2 configuration error, 3 data or I/O error, 4 numerical failure.
+0 success, 2 configuration error, 3 data, shape, geometry or I/O error, 4 numerical failure.
 """
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from .config import PRESETS, load_config
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, GeometryError, NumericalError, ShapeError
 from .harness import run_ablation, run_eval, run_sample, run_train
 from .synthetic import SyntheticSpec, gen_synthetic_dataset
 
@@ -67,7 +67,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except DataError as e:
+    except (DataError, ShapeError, GeometryError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
     except OSError as e:

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError (and
-subclasses) and OSError -> 3, NumericalError -> 4.
+subclasses), ShapeError, GeometryError and OSError -> 3, NumericalError -> 4.
 """
 
 

@@ -1,8 +1,8 @@
 """On-disk formats: per-clip feature files (MGFEAT1), model checkpoints
-(MGCKPT1), onset/weight lists, and metric reports.
+(MGCKPT2), onset/weight lists, and metric reports.
 
-Both binary formats are a small ASCII header followed by raw
-little-endian float32 payloads, so reloads are bit-exact.
+Both binary formats are a small ASCII header followed by raw little-endian
+payloads (float32 features, float64 checkpoints), so reloads are bit-exact.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ParseError
 
 FEAT_MAGIC = b"MGFEAT1"
-CKPT_MAGIC = b"MGCKPT1"
+CKPT_MAGIC = b"MGCKPT2"
 
 
 # -- feature files ------------------------------------------------------
@@ -56,7 +56,7 @@ def read_features(path):
 
 def write_checkpoint(path, arrays: dict, config: dict, step: int):
     """Text header (magic, config key=value lines, step), then named
-    little-endian float32 arrays: name line, shape line, raw bytes.
+    little-endian float64 arrays: name line, shape line, raw bytes.
     Written to `<path>.tmp`, then moved into place: a failed write keeps the old file."""
     tmp = Path(f"{path}.tmp")
     try:
@@ -67,7 +67,7 @@ def write_checkpoint(path, arrays: dict, config: dict, step: int):
             f.write(f"step={step}\n".encode())
             f.write(b"--\n")
             for name in sorted(arrays):
-                arr = np.ascontiguousarray(arrays[name], dtype="<f4")
+                arr = np.ascontiguousarray(arrays[name], dtype="<f8")
                 f.write(name.encode() + b"\n")
                 f.write(" ".join(str(s) for s in arr.shape).encode() + b"\n")
                 f.write(arr.tobytes())
@@ -79,7 +79,7 @@ def write_checkpoint(path, arrays: dict, config: dict, step: int):
 
 
 def read_checkpoint(path):
-    """Returns (arrays name -> float32 ndarray, config dict, step)."""
+    """Returns (arrays name -> read-only float64 ndarray, config dict of strings, step)."""
     with open(path, "rb") as f:
         if f.readline().strip() != CKPT_MAGIC:
             raise ParseError(f"{path}: bad checkpoint magic", line=1)
@@ -104,12 +104,12 @@ def read_checkpoint(path):
                 break
             name = name_line.strip().decode()
             shape = tuple(int(x) for x in f.readline().split())
-            n_bytes = int(np.prod(shape)) * 4 if shape else 4
+            n_bytes = int(np.prod(shape)) * 8
             payload = f.read(n_bytes)
             if len(payload) != n_bytes:
                 raise ParseError(f"{path}: truncated array {name!r}")
             f.read(1)  # trailing newline
-            arrays[name] = np.frombuffer(payload, dtype="<f4").reshape(shape)
+            arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(shape)
     return arrays, config, step
 
 

@@ -3,6 +3,7 @@ sampling back to BVH, corpus evaluation, and the ablation matrix."""
 from __future__ import annotations
 
 import csv
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -12,16 +13,18 @@ from . import denoiser as dn
 from . import fusion as fu
 from . import metrics as mt
 from .bvh import clip_to_euler, clip_to_features, features_to_clip, parse_bvh, write_bvh
+from .config import DEFAULTS, load_config
 from .diffusion import build_schedule, sample_loop
-from .errors import ConfigError, DataError, GestureGenError, NumericalError
+from .errors import ConfigError, DataError, GestureGenError, NumericalError, ParseError
 from .fileio import (read_checkpoint, read_float_lines, write_checkpoint, write_report)
 from .synthetic import Dataset, load_dataset
 
 LOSS_HEADER = ["step", "l_total", "l_g", "l_s", "l_e"]
+WIDTH_KEYS = ("data.gesture_dim", "data.d_audio", "data.d_text", "data.n_styles", "data.n_emotions")
 
 
 def _corpus_widths(dataset: Dataset):
-    """(gesture, audio, text, styles, emotions) widths of a corpus."""
+    """(gesture, audio, text, styles, emotions) widths of a corpus, as in `WIDTH_KEYS`."""
     return (dataset.gesture_dim,
             int(dataset.meta.get("d_audio", dataset.records[0].audio.shape[1])),
             int(dataset.meta.get("d_text", dataset.records[0].text.shape[1])),
@@ -47,11 +50,7 @@ def _model_configs(cfg: dict, gesture_dim: int, d_audio: int, d_text: int,
 
 def _checkpoint_config(cfg: dict, dataset: Dataset) -> dict:
     keep = [k for k in cfg if k.split(".")[0] in ("model", "diffusion", "train", "seed")]
-    out = {k: cfg[k] for k in keep}
-    out["data.gesture_dim"] = dataset.gesture_dim
-    out["data.frames"] = dataset.frames
-    out["data.fps"] = dataset.fps
-    return out
+    return {k: cfg[k] for k in keep} | dict(zip(WIDTH_KEYS, _corpus_widths(dataset)))
 
 
 def run_train(cfg: dict, dataset_dir, out_dir) -> dict:
@@ -103,15 +102,14 @@ def run_train(cfg: dict, dataset_dir, out_dir) -> dict:
 
 
 def load_model(checkpoint_path):
-    """Rebuild a model (and its configs) from an MGCKPT1 file."""
-    arrays, raw_cfg, step = read_checkpoint(checkpoint_path)
-    from .config import DEFAULTS, _coerce
-
-    cfg = {k: _coerce(k, v) if k in DEFAULTS else v for k, v in raw_cfg.items()}
-    den, fus = _model_configs(cfg, int(raw_cfg["data.gesture_dim"]),
-                              *(int(arrays[f"fusion.{k}"].shape[0])
-                                for k in ("dis_w_s", "text_w", "style_enc", "emotion_enc")))
-    model = dn.build_model(den, fus, int(cfg.get("seed", 0)))
+    """Rebuild a model from an MGCKPT2 file. The header is the whole spec: its
+    config keys over the defaults, plus the corpus widths under `WIDTH_KEYS`."""
+    arrays, header, step = read_checkpoint(checkpoint_path)
+    cfg = load_config(overrides={k: v for k, v in header.items() if k in DEFAULTS})
+    if not set(WIDTH_KEYS) <= set(header):
+        raise DataError(f"{checkpoint_path}: header lacks the corpus widths {WIDTH_KEYS}")
+    den, fus = _model_configs(cfg, *(int(header[k]) for k in WIDTH_KEYS))
+    model = dn.build_model(den, fus, cfg["seed"])
     params = model.named_params()
     missing = set(params) - set(arrays)
     if missing:
@@ -165,17 +163,19 @@ def _load_gen_corpus(directory):
 
 def get_extractor(ref_dataset_dir, cfg: dict):
     """Train (or load a cached) reconstruction feature extractor on the
-    reference corpus. The cache `<ref>/fgd_extractor.ckpt` is reused only if its
-    seed, steps and hidden width match `cfg`; otherwise it is retrained and overwritten."""
+    reference corpus. The cache `<ref>/fgd_extractor.ckpt` is reused only if it reads
+    and its seed, steps and hidden width match `cfg`; otherwise it is retrained and overwritten."""
     ref = load_dataset(ref_dataset_dir)
     cache = Path(ref_dataset_dir) / "fgd_extractor.ckpt"
     key = {"seed": cfg["seed"], "steps": cfg["eval.extractor_steps"],
            "hidden": cfg["eval.extractor_hidden"]}
-    if cache.is_file():
+    try:
         arrays, meta, _ = read_checkpoint(cache)
-        if meta == {k: str(v) for k, v in key.items()}:
-            weights = {k: ad.tensor(v) for k, v in arrays.items()}
-            return mt.FeatureExtractor(*ref.records[0].x0.shape, **key, **weights), ref
+    except (OSError, ParseError):  # absent or unreadable: a miss
+        meta = None
+    if meta == {k: str(v) for k, v in key.items()}:
+        weights = {k: ad.tensor(v) for k, v in arrays.items()}
+        return mt.FeatureExtractor(*ref.records[0].x0.shape, **key, **weights), ref
     ext, _ = mt.train_fgd_extractor([r.x0 for r in ref.records], **key)
     write_checkpoint(cache, {k: p.value for k, p in ext.named().items()}, key, key["steps"])
     return ext, ref
@@ -259,9 +259,10 @@ def ablation_variants():
 def run_ablation(cfg: dict, dataset_dir, out_dir) -> list:
     """Train + sample + evaluate every ablation variant on one corpus.
 
-    Package errors (`GestureGenError`) are recorded per row and the run
-    continues; any other exception is a bug and propagates. Returns the list
-    of row dicts and writes a fixed-width table plus per-row reports.
+    Package errors (`GestureGenError`) are recorded per row, with the traceback in
+    `<out>/<variant>/error.txt`, and the run continues; any other exception is a
+    bug and propagates. Returns the list of row dicts and writes a fixed-width
+    table plus per-row reports.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -281,6 +282,8 @@ def run_ablation(cfg: dict, dataset_dir, out_dir) -> list:
                 row[col] = report[col]
         except GestureGenError as e:  # record and continue with the next variant
             row["error"] = f"{type(e).__name__}: {e}"
+            vdir.mkdir(parents=True, exist_ok=True)
+            (vdir / "error.txt").write_text(traceback.format_exc())
         rows.append(row)
 
     lines = [_table_row(["name"] + METRIC_COLUMNS)]

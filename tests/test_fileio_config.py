@@ -57,7 +57,7 @@ def test_checkpoint_failed_write_keeps_old_file(tmp_path, rng):
     path = tmp_path / "m.ckpt"
     fileio.write_checkpoint(path, {"w": rng.normal(0, 1, (3, 4))}, {"model.d": 64}, step=1)
     before = path.read_bytes()
-    with pytest.raises(ValueError):  # "z" is written after "a" and cannot become float32
+    with pytest.raises(ValueError):  # "z" is written after "a" and cannot become float64
         fileio.write_checkpoint(path, {"a": np.ones(2), "z": "not a number"}, {}, step=2)
     assert path.read_bytes() == before
     assert fileio.read_checkpoint(path)[2] == 1

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from gesturegen import cli, harness, synthetic
-from gesturegen.errors import DataError
-from gesturegen.fileio import read_checkpoint
+from gesturegen.errors import DataError, ParseError
+from gesturegen.fileio import read_checkpoint, write_checkpoint
 
 
 def test_run_train_outputs(mini_run, mini_cfg):
@@ -31,6 +31,36 @@ def test_checkpoint_contains_model_and_optimizer(mini_run):
     assert any(k.startswith("opt.m.") for k in arrays)
     assert cfg["model.d"] == "32"
     assert "data.gesture_dim" in cfg
+
+
+def test_checkpoint_holds_the_training_state_bit_for_bit(tmp_path, mini_cfg, mini_corpus,
+                                                         monkeypatch):
+    saved = {}
+
+    def capture(path, arrays, config, step):
+        saved.update({k: np.array(v, dtype=np.float64) for k, v in arrays.items()})
+        write_checkpoint(path, arrays, config, step)
+
+    monkeypatch.setattr(harness, "write_checkpoint", capture)
+    cfg = dict(mini_cfg, **{"train.steps": 2, "model.layers": 1})
+    ckpt = harness.run_train(cfg, mini_corpus, tmp_path / "run")["checkpoint"]
+    arrays, _, step = read_checkpoint(ckpt)
+    assert step == 2 and set(arrays) == set(saved)
+    for k, v in saved.items():
+        assert arrays[k].dtype == np.float64 and arrays[k].tobytes() == v.tobytes(), k
+
+    model, spec, _, opt_state = harness.load_model(ckpt)
+    assert all(spec[k] == cfg[k] for k in cfg if k.split(".")[0] in ("model", "diffusion", "train"))
+    assert all(p.value.tobytes() == saved[k].tobytes() for k, p in model.named_params().items())
+    assert all(v.tobytes() == saved[k].tobytes() for k, v in opt_state.items())
+
+
+def test_load_model_rejects_header_without_widths(tmp_path, mini_run):
+    arrays, header, step = read_checkpoint(mini_run["checkpoint"])
+    del header["data.d_audio"]
+    write_checkpoint(tmp_path / "m.ckpt", arrays, header, step)
+    with pytest.raises(DataError, match="corpus widths"):
+        harness.load_model(tmp_path / "m.ckpt")
 
 
 def test_load_model_bit_exact_reload(mini_run):
@@ -127,7 +157,44 @@ def test_extractor_cache_retrains_on_config_change(tmp_path, mini_cfg):
     assert meta["hidden"] == "16"
     cached, _ = harness.get_extractor(corpus, cfg)
     assert cached.hidden == 16
-    assert np.array_equal(cached.enc_w1.value, ext.enc_w1.value.astype(np.float32))
+    assert np.array_equal(cached.enc_w1.value, ext.enc_w1.value)
+
+
+def test_cold_and_warm_eval_reports_are_equal(tmp_path, mini_cfg):
+    ref, gen = tmp_path / "ref", tmp_path / "gen"
+    for seed, corpus in ((3, ref), (4, gen)):
+        spec = synthetic.SyntheticSpec(n_clips=3, frames=20, joints=2, seed=seed)
+        synthetic.gen_synthetic_dataset(spec, corpus)
+    cfg = dict(mini_cfg, **{"eval.extractor_steps": 5, "eval.extractor_hidden": 8})
+    cold = harness.run_eval(gen, ref, cfg)
+    assert (ref / "fgd_extractor.ckpt").is_file()
+    assert harness.run_eval(gen, ref, cfg) == cold
+
+
+def _write_mgckpt1(path, arrays, config, step):
+    """The float32 checkpoint layout that preceded MGCKPT2."""
+    with open(path, "wb") as f:
+        f.write(b"MGCKPT1\n" + "".join(f"{k}={config[k]}\n" for k in sorted(config)).encode()
+                + f"step={step}\n--\n".encode())
+        for name in sorted(arrays):
+            arr = np.ascontiguousarray(arrays[name], dtype="<f4")
+            f.write(f"{name}\n{' '.join(map(str, arr.shape))}\n".encode() + arr.tobytes() + b"\n")
+
+
+def test_mgckpt1_is_rejected_and_retrained_as_extractor_cache(tmp_path, mini_cfg):
+    corpus = tmp_path / "data"
+    synthetic.gen_synthetic_dataset(
+        synthetic.SyntheticSpec(n_clips=3, frames=20, joints=2, seed=3), corpus)
+    cfg = dict(mini_cfg, **{"eval.extractor_steps": 3, "eval.extractor_hidden": 8})
+    trained, _ = harness.get_extractor(corpus, cfg)
+    cache = corpus / "fgd_extractor.ckpt"
+    _write_mgckpt1(cache, {k: np.zeros_like(p.value) for k, p in trained.named().items()},
+                   {"seed": cfg["seed"], "steps": 3, "hidden": 8}, 3)
+    with pytest.raises(ParseError):
+        read_checkpoint(cache)
+    ext, _ = harness.get_extractor(corpus, cfg)
+    assert cache.read_bytes().startswith(b"MGCKPT2\n")
+    assert all(np.array_equal(ext.named()[k].value, p.value) for k, p in trained.named().items())
 
 
 def test_ablation_variant_lists():
@@ -150,6 +217,8 @@ def test_ablation_records_package_errors_and_raises_bugs(tmp_path, mini_cfg, mon
     assert [r["name"] for r in rows] == [n for n, _ in harness.ablation_variants()]
     assert all(r["error"] == "DataError: no clips" for r in rows)
     assert "FAILED: DataError: no clips" in (tmp_path / "a" / "ablation.txt").read_text()
+    assert all((tmp_path / "a" / n / "error.txt").read_text().endswith("DataError: no clips\n")
+               for n, _ in harness.ablation_variants())
 
     monkeypatch.setattr(harness, "run_train", failing(RuntimeError("a bug")))
     with pytest.raises(RuntimeError, match="a bug"):
@@ -221,6 +290,16 @@ def test_cli_exit_codes(tmp_path, mini_corpus, capsys):
     assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err.startswith("I/O error")
 
+    # 3: a generated clip with no frames
+    gen = tmp_path / "gen0"
+    gen.mkdir()
+    head = (mini_corpus / "clip_0000.bvh").read_text().split("Frames:")[0]
+    (gen / "clip_0000.bvh").write_text(head + "Frames: 0\nFrame Time: 0.033333333333\n")
+    cfg.write_text(f"data.dir = {mini_corpus}\ndata.gen_dir = {gen}\n"
+                   "eval.extractor_steps = 30\n")
+    assert cli.main(["eval", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert "Frames: must be at least 1" in capsys.readouterr().err
+
 
 def test_cli_sample_rejects_condition_width_mismatch(tmp_path, mini_run, mini_cfg, capsys):
     corpus = tmp_path / "narrow"
@@ -239,6 +318,8 @@ def test_cli_exit_code_numerical(tmp_path, mini_corpus, capsys):
                    "train.steps = 30\ntrain.lr = 1e6\ndiffusion.steps = 5\n")
     assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
     capsys.readouterr()
+    arrays, _, _ = read_checkpoint(tmp_path / "o" / "model.ckpt")
+    assert all(np.isfinite(a).all() for a in arrays.values())
 
 
 def test_cli_rejects_unknown_subcommand():

@@ -172,6 +172,15 @@ def test_parse_errors_carry_line_numbers():
         bvh.parse_bvh(text + "0.0 0.0\n")
     assert "trailing" in str(e.value)
 
+    # a frame count below 1, even with motion lines following
+    frames_line = next(i for i, l in enumerate(lines) if l.startswith("Frames:"))
+    for count in (0, -1):
+        bad = lines.copy()
+        bad[frames_line] = f"Frames: {count}"
+        with pytest.raises(ParseError) as e:
+            bvh.parse_bvh("\n".join(bad) + "\n")
+        assert e.value.line == frames_line + 1
+
     # wrong channel count on a joint
     broken = text.replace("CHANNELS 3 Zrotation Xrotation Yrotation",
                           "CHANNELS 2 Zrotation Xrotation", 1)
