@@ -23,12 +23,12 @@ for t in (0, 100, 500, 999):
 print("\n== reverse chain with an oracle denoiser ==")
 target = rng.normal(0, 1, (6, 4))
 toy = df.build_schedule(50, 1e-4, 0.2)
-out = df.sample_loop(lambda x, t, cond: target, None, target.shape, toy, seed=1)
+out = df.sample_loop(lambda x, t: target, target.shape, toy, seed=1)
 print(f"a denoiser that always predicts the target reconstructs it: "
       f"max error {np.abs(out - target).max():.2e}")
 
 print("\n== determinism ==")
-den = lambda x, t, cond: 0.3 * x
-a = df.sample_loop(den, None, (4, 4), toy, seed=7)
-b = df.sample_loop(den, None, (4, 4), toy, seed=7)
+den = lambda x, t: 0.3 * x
+a = df.sample_loop(den, (4, 4), toy, seed=7)
+b = df.sample_loop(den, (4, 4), toy, seed=7)
 print(f"same seed, bit-identical samples: {np.array_equal(a, b)}")

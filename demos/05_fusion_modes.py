@@ -12,14 +12,14 @@ from gesturegen import fusion as fu
 rng = np.random.default_rng(0)
 
 F, d = 12, 16
-base = dict(d=d, d_audio=10, d_text_raw=6, gesture_dim=9, window=4)
+base = dict(d=d, d_audio=10, d_text=6, gesture_dim=9, window=4)
 audio = rng.normal(0, 1, (F, 10))
 text = rng.normal(0, 1, (F, 6))
 x_t = rng.normal(0, 1, (F, 9))
 
 print("== one forward pass per mode ==")
 for mode in fu.FUSION_MODES:
-    cfg = fu.FusionConfig(mode=mode, **base)
+    cfg = fu.ModelSpec(mode=mode, **base)
     w = fu.init_fusion(cfg, np.random.default_rng(1), init_std=0.1)
     bundle = fu.encode_conditions(w, audio, text, style_id=1, emotion_id=3,
                                   x_t=x_t, t=7)
@@ -29,7 +29,7 @@ for mode in fu.FUSION_MODES:
           f"{out.f_fuse.value.shape}, disentangled: {extras}")
 
 print("\n== disentanglement and alignment losses (SEAD) ==")
-cfg = fu.FusionConfig(mode=fu.SEAD, **base)
+cfg = fu.ModelSpec(mode=fu.SEAD, **base)
 w = fu.init_fusion(cfg, np.random.default_rng(1), init_std=0.1)
 bundle = fu.encode_conditions(w, audio, text, 1, 3, x_t, 7)
 out = fu.fusion_forward(w, bundle)

@@ -4,9 +4,11 @@ Every differentiable operation used by the models lives here as a small
 numpy kernel with an explicit backward function. There is no taping DSL:
 each op builds one graph node whose closure knows how to push gradients
 to its parents. `finite_diff_check` verifies any scalar-reduced op
-against central differences.
+against central differences. `Params` names the weights of a model.
 """
 from __future__ import annotations
+
+from dataclasses import fields
 
 import numpy as np
 
@@ -15,6 +17,7 @@ from .errors import NumericalError, ShapeError
 __all__ = [
     "Tensor",
     "tensor",
+    "Params",
     "matmul",
     "concat",
     "reshape",
@@ -182,6 +185,25 @@ def _as_tensor(x) -> Tensor:
 def tensor(value) -> Tensor:
     """Leaf tensor from any array-like, copied to float64."""
     return Tensor(np.array(value, dtype=np.float64))
+
+
+class Params:
+    """Base for weight dataclasses. `named` keys every Tensor field, in field order, as
+    `prefix.field`; nested `Params` recurse, and item i of the list `blocks` is `block<i>`."""
+
+    def named(self, prefix: str = "") -> dict:
+        key = lambda name: f"{prefix}.{name}" if prefix else name
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Tensor):
+                out[key(f.name)] = value
+            elif isinstance(value, Params):
+                out.update(value.named(key(f.name)))
+            elif f.name == "blocks":
+                for i, block in enumerate(value):
+                    out.update(block.named(key(f"block{i}")))
+        return out
 
 
 # -- linear algebra -----------------------------------------------------
@@ -354,22 +376,15 @@ def causal_depthwise_conv(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     if kernel.value.shape[1] != C or bias.value.shape != (C,):
         raise ShapeError(f"conv weights {kernel.value.shape}/{bias.value.shape} mismatch C={C}")
     y = np.zeros_like(x.value)
-    for j in range(w):
-        if j == 0:
-            y += kernel.value[0] * x.value
-        else:
-            y[j:] += kernel.value[j] * x.value[:-j]
+    for j in range(min(w, L)):
+        y[j:] += kernel.value[j] * x.value[:L - j]
     out = Tensor(y + bias.value, (x, kernel, bias))
 
     def bwd(g):
         bias.grad += g.sum(axis=0)
-        for j in range(w):
-            if j == 0:
-                kernel.grad[0] += (g * x.value).sum(axis=0)
-                x.grad += kernel.value[0] * g
-            else:
-                kernel.grad[j] += (g[j:] * x.value[:-j]).sum(axis=0)
-                x.grad[:-j] += kernel.value[j] * g[j:]
+        for j in range(min(w, L)):
+            kernel.grad[j] += (g[j:] * x.value[:L - j]).sum(axis=0)
+            x.grad[:L - j] += kernel.value[j] * g[j:]
 
     out._bwd = bwd
     return out

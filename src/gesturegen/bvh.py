@@ -222,6 +222,14 @@ def parse_bvh(text: str):
     return skeleton, clip
 
 
+def read_bvh(path):
+    """`parse_bvh` of the file at a `pathlib.Path`; a ParseError names the file."""
+    try:
+        return parse_bvh(path.read_text())
+    except ParseError as e:
+        raise ParseError(f"{path}: {e}") from e
+
+
 def _channel_columns(joints):
     """Map motion-data columns to the clip: (position columns, their XYZ
     axes, rotation columns). The rotation columns map in order onto

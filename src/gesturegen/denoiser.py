@@ -1,10 +1,11 @@
 """Denoising network: stacked attention+Mamba blocks with an output
-projection, the variant factory for ablation configs, and the training
-step (Huber gesture loss + L1 style/emotion alignment, AdamW updates).
+projection, the variant factory for ablation configs, the full model
+built from one `fusion.ModelSpec`, and the training step (Huber gesture
+loss + L1 style/emotion alignment, AdamW updates).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -14,124 +15,84 @@ from . import fusion as fu
 from . import ssm
 from .autodiff import Tensor
 from .diffusion import DiffusionSchedule, q_sample
-from .errors import ConfigError, NumericalError, ShapeError
+from .errors import NumericalError, ShapeError
 
 
 @dataclass
-class DenoiserConfig:
-    layers: int = 8
-    use_attention: bool = True
-    use_mamba: bool = True
-    use_conv: bool = False
-    residual: bool = True
-    d: int = 256
-    gesture_dim: int = 75
-    n_state: int = ssm.SSM_STATE_DIM
-    expand: int = ssm.SSM_EXPAND
-    mamba_conv_width: int = ssm.SSM_CONV_WIDTH
-    block_conv_width: int = 3
-
-    def __post_init__(self):
-        if self.layers < 1:
-            raise ConfigError(f"need at least one block, got layers={self.layers}")
-        if not (self.use_attention or self.use_mamba or self.use_conv):
-            raise ConfigError("at least one of attention/mamba/conv must be enabled")
-
-
-@dataclass
-class MambaAttnBlockWeights:
+class MambaAttnBlockWeights(ad.Params):
     ln1_gamma: Tensor
     ln1_beta: Tensor
     w_q: Optional[Tensor]
     w_k: Optional[Tensor]
     w_v: Optional[Tensor]
     w_o: Optional[Tensor]
-    mamba: Optional[ssm.MambaBlockWeights]
     ln2_gamma: Tensor
     ln2_beta: Tensor
     conv_kernel: Optional[Tensor] = None
     conv_bias: Optional[Tensor] = None
-
-    def named(self, prefix: str) -> dict:
-        out = {}
-        for key in ("ln1_gamma", "ln1_beta", "w_q", "w_k", "w_v", "w_o",
-                    "ln2_gamma", "ln2_beta", "conv_kernel", "conv_bias"):
-            v = getattr(self, key)
-            if v is not None:
-                out[f"{prefix}.{key}"] = v
-        if self.mamba is not None:
-            out.update(self.mamba.named(f"{prefix}.mamba"))
-        return out
+    mamba: Optional[ssm.MambaBlockWeights] = None  # last, so its keys follow the block's own
 
 
 @dataclass
-class DenoiserWeights:
-    config: DenoiserConfig
+class DenoiserWeights(ad.Params):
+    spec: fu.ModelSpec
     blocks: list
     proj_w: Tensor
     proj_b: Tensor
 
-    def named(self, prefix: str = "denoiser") -> dict:
-        out = {}
-        for i, b in enumerate(self.blocks):
-            out.update(b.named(f"{prefix}.block{i}"))
-        out[f"{prefix}.proj_w"] = self.proj_w
-        out[f"{prefix}.proj_b"] = self.proj_b
-        return out
 
-
-def _init_block(config: DenoiserConfig, rng: np.random.Generator,
+def _init_block(spec: fu.ModelSpec, rng: np.random.Generator,
                 init_std: float = 0.02) -> MambaAttnBlockWeights:
-    d = config.d
+    d = spec.d
     t = lambda shape: ad.tensor(rng.normal(0.0, init_std, shape))
-    attn = config.use_attention
-    return MambaAttnBlockWeights(
+    attn = spec.use_attention
+    return MambaAttnBlockWeights(  # the keyword order is the RNG draw order
         ln1_gamma=ad.tensor(np.ones(d)), ln1_beta=ad.tensor(np.zeros(d)),
         w_q=t((d, d)) if attn else None,
         w_k=t((d, d)) if attn else None,
         w_v=t((d, d)) if attn else None,
         w_o=t((d, d)) if attn else None,
-        mamba=ssm.init_mamba_block(d, rng, config.n_state, config.expand,
-                                   config.mamba_conv_width, init_std)
-        if config.use_mamba else None,
+        mamba=ssm.init_mamba_block(d, rng, spec.n_state, spec.expand,
+                                   spec.mamba_conv_width, init_std)
+        if spec.use_mamba else None,
         ln2_gamma=ad.tensor(np.ones(d)), ln2_beta=ad.tensor(np.zeros(d)),
-        conv_kernel=t((config.block_conv_width, d)) if config.use_conv else None,
-        conv_bias=ad.tensor(np.zeros(d)) if config.use_conv else None,
+        conv_kernel=t((spec.block_conv_width, d)) if spec.use_conv else None,
+        conv_bias=ad.tensor(np.zeros(d)) if spec.use_conv else None,
     )
 
 
-def build_variant(config: DenoiserConfig, seed: int) -> DenoiserWeights:
+def build_variant(spec: fu.ModelSpec, seed: int) -> DenoiserWeights:
     """Seeded Gaussian init (std 0.02), layer norms at identity."""
     rng = np.random.default_rng(seed)
-    blocks = [_init_block(config, rng) for _ in range(config.layers)]
-    proj_w = ad.tensor(rng.normal(0.0, 0.02, (config.d, config.gesture_dim)))
-    proj_b = ad.tensor(np.zeros(config.gesture_dim))
-    return DenoiserWeights(config, blocks, proj_w, proj_b)
+    blocks = [_init_block(spec, rng) for _ in range(spec.layers)]
+    proj_w = ad.tensor(rng.normal(0.0, 0.02, (spec.d, spec.gesture_dim)))
+    proj_b = ad.tensor(np.zeros(spec.gesture_dim))
+    return DenoiserWeights(spec, blocks, proj_w, proj_b)
 
 
-def mambattn_block(weights: MambaAttnBlockWeights, x: Tensor, config: DenoiserConfig) -> Tensor:
+def mambattn_block(weights: MambaAttnBlockWeights, x: Tensor, spec: fu.ModelSpec) -> Tensor:
     """LN -> (optional conv) -> (optional self-attn) -> (optional Mamba) -> LN,
     with a residual from the block input when configured."""
-    if x.value.shape[1] != config.d:
-        raise ShapeError(f"block input width {x.value.shape[1]} != configured d {config.d}")
+    if x.value.shape[1] != spec.d:
+        raise ShapeError(f"block input width {x.value.shape[1]} != configured d {spec.d}")
     h = ad.layer_norm(x, weights.ln1_gamma, weights.ln1_beta)
-    if config.use_conv:
+    if spec.use_conv:
         h = ad.causal_depthwise_conv(h, weights.conv_kernel, weights.conv_bias)
-    if config.use_attention:
+    if spec.use_attention:
         attended = ad.scaled_dot_attention(
             ad.matmul(h, weights.w_q), ad.matmul(h, weights.w_k), ad.matmul(h, weights.w_v))
         h = ad.matmul(attended, weights.w_o)
-    if config.use_mamba:
+    if spec.use_mamba:
         h = ssm.mamba_block_forward(weights.mamba, h)
     y = ad.layer_norm(h, weights.ln2_gamma, weights.ln2_beta)
-    return x + y if config.residual else y
+    return x + y if spec.residual else y
 
 
 def denoiser_forward(weights: DenoiserWeights, f_fuse: Tensor) -> Tensor:
     """Stacked blocks then linear projection to the gesture width."""
     h = f_fuse
     for block in weights.blocks:
-        h = mambattn_block(block, h, weights.config)
+        h = mambattn_block(block, h, weights.spec)
     return ad.matmul(h, weights.proj_w) + weights.proj_b
 
 
@@ -139,22 +100,15 @@ def denoiser_forward(weights: DenoiserWeights, f_fuse: Tensor) -> Tensor:
 
 
 @dataclass
-class GestureModel:
+class GestureModel(ad.Params):
     fusion: fu.FusionWeights
     denoiser: DenoiserWeights
 
-    def named_params(self) -> dict:
-        params = self.fusion.named("fusion")
-        params.update(self.denoiser.named("denoiser"))
-        return params
 
-
-def build_model(den_config: DenoiserConfig, fus_config: fu.FusionConfig, seed: int) -> GestureModel:
-    if den_config.d != fus_config.d or den_config.gesture_dim != fus_config.gesture_dim:
-        raise ConfigError("denoiser and fusion configs disagree on d / gesture_dim")
+def build_model(spec: fu.ModelSpec, seed: int) -> GestureModel:
     rng = np.random.default_rng(seed)
-    fusion = fu.init_fusion(fus_config, rng)
-    denoiser = build_variant(den_config, int(rng.integers(2**31)))
+    fusion = fu.init_fusion(spec, rng)
+    denoiser = build_variant(spec, int(rng.integers(2**31)))
     return GestureModel(fusion, denoiser)
 
 
@@ -219,7 +173,7 @@ class TrainExample:
 
     x0: np.ndarray       # F x gesture_dim
     audio: np.ndarray    # F x d_audio
-    text: np.ndarray     # F x d_text_raw
+    text: np.ndarray     # F x d_text
     style_id: int
     emotion_id: int
 
@@ -246,7 +200,7 @@ def training_step(model: GestureModel, optimizer: AdamW, batch: list,
                                       ex.style_id, ex.emotion_id, x_t, t)
         target_s, target_e = bundle.f_s, bundle.f_e
         masked_s, masked_e = fu.mask_conditions(bundle.f_s, bundle.f_e,
-                                                model.fusion.config.mask_prob, rng)
+                                                model.fusion.spec.mask_prob, rng)
         bundle.f_s, bundle.f_e = masked_s, masked_e
         out = fu.fusion_forward(model.fusion, bundle)
         x0_hat = denoiser_forward(model.denoiser, out.f_fuse)

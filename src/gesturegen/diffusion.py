@@ -2,7 +2,7 @@
 x0-parameterized ancestral reverse loop."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,16 +70,16 @@ def posterior_step_from_x0(x_t: np.ndarray, x0_hat: np.ndarray, t: int,
     return mean + np.sqrt(schedule.posterior_var[t]) * z
 
 
-def sample_loop(denoiser, cond, shape: tuple, schedule: DiffusionSchedule, seed: int) -> np.ndarray:
+def sample_loop(denoiser, shape: tuple, schedule: DiffusionSchedule, seed: int) -> np.ndarray:
     """Full reverse chain from pure noise, deterministic given the seed.
 
-    `denoiser(x_t, t, cond)` must return a clean-sample prediction of the
-    same shape as x_t.
+    `denoiser(x_t, t)` must return a clean-sample prediction of the same
+    shape as x_t; a conditioned denoiser closes over its condition.
     """
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(shape)
     for t in range(schedule.steps - 1, -1, -1):
-        x0_hat = np.asarray(denoiser(x, t, cond), dtype=np.float64)
+        x0_hat = np.asarray(denoiser(x, t), dtype=np.float64)
         if x0_hat.shape != x.shape:
             raise ShapeError(f"denoiser returned {x0_hat.shape}, expected {x.shape}")
         z = rng.standard_normal(shape) if t > 0 else np.zeros(shape)

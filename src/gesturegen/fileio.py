@@ -80,36 +80,39 @@ def write_checkpoint(path, arrays: dict, config: dict, step: int):
 
 def read_checkpoint(path):
     """Returns (arrays name -> read-only float64 ndarray, config dict of strings, step)."""
-    with open(path, "rb") as f:
-        if f.readline().strip() != CKPT_MAGIC:
-            raise ParseError(f"{path}: bad checkpoint magic", line=1)
-        config = {}
-        step = 0
-        while True:
-            line = f.readline()
-            if not line:
-                raise ParseError(f"{path}: truncated checkpoint header")
-            line = line.strip()
-            if line == b"--":
-                break
-            key, _, value = line.decode().partition("=")
-            if key == "step":
-                step = int(value)
-            else:
-                config[key] = value
-        arrays = {}
-        while True:
-            name_line = f.readline()
-            if not name_line:
-                break
-            name = name_line.strip().decode()
-            shape = tuple(int(x) for x in f.readline().split())
-            n_bytes = int(np.prod(shape)) * 8
-            payload = f.read(n_bytes)
-            if len(payload) != n_bytes:
-                raise ParseError(f"{path}: truncated array {name!r}")
-            f.read(1)  # trailing newline
-            arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(shape)
+    try:
+        with open(path, "rb") as f:
+            if f.readline().strip() != CKPT_MAGIC:
+                raise ParseError(f"{path}: bad checkpoint magic", line=1)
+            config = {}
+            step = 0
+            while True:
+                line = f.readline()
+                if not line:
+                    raise ParseError(f"{path}: truncated checkpoint header")
+                line = line.strip()
+                if line == b"--":
+                    break
+                key, _, value = line.decode().partition("=")
+                if key == "step":
+                    step = int(value)
+                else:
+                    config[key] = value
+            arrays = {}
+            while True:
+                name_line = f.readline()
+                if not name_line:
+                    break
+                name = name_line.strip().decode()
+                shape = tuple(int(x) for x in f.readline().split())
+                n_bytes = int(np.prod(shape)) * 8
+                payload = f.read(n_bytes)
+                if len(payload) != n_bytes:
+                    raise ParseError(f"{path}: truncated array {name!r}")
+                f.read(1)  # trailing newline
+                arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(shape)
+    except ValueError as e:  # from int() of a shape or step, decode() or reshape()
+        raise ParseError(f"{path}: {e}") from e
     return arrays, config, step
 
 

@@ -1,4 +1,4 @@
-"""Multi-modal condition encoding and the fusion ladder.
+"""`ModelSpec` (the whole model), multi-modal condition encoding and the fusion ladder.
 
 Four rungs: plain concatenation with style (SA), plus emotion (SEA),
 plus audio disentanglement (SEAD_BASIC), plus cross-attention between
@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
+from . import ssm
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
 
@@ -25,16 +26,27 @@ FUSION_MODES = (SA, SEA, SEAD_BASIC, SEAD)
 
 
 @dataclass
-class FusionConfig:
+class ModelSpec:
+    """The whole model. Fields: the `model.*` key suffixes, then those of `harness.WIDTH_KEYS`."""
+
     d: int = 256
-    d_audio: int = 64          # raw per-frame audio feature width
-    d_text_raw: int = 32       # raw per-frame text feature width
-    n_styles: int = 4
-    n_emotions: int = 8
-    gesture_dim: int = 75
+    layers: int = 8
+    use_attention: bool = True
+    use_mamba: bool = True
+    use_conv: bool = False
+    residual: bool = True
     window: int = 30           # cross-local attention window (frames)
+    n_state: int = ssm.SSM_STATE_DIM
+    expand: int = ssm.SSM_EXPAND
     mode: str = SEAD
     mask_prob: float = 0.1
+    gesture_dim: int = 75
+    d_audio: int = 64          # raw per-frame audio feature width
+    d_text: int = 32           # raw per-frame text feature width
+    n_styles: int = 4
+    n_emotions: int = 8
+    mamba_conv_width: int = ssm.SSM_CONV_WIDTH  # the two conv widths have no config key
+    block_conv_width: int = 3
 
     def __post_init__(self):
         if self.mode not in FUSION_MODES:
@@ -43,6 +55,10 @@ class FusionConfig:
             raise ConfigError(f"mask probability {self.mask_prob} outside [0, 1]")
         if self.window < 1:
             raise ConfigError("cross-local attention window must be >= 1")
+        if self.layers < 1:
+            raise ConfigError(f"need at least one block, got layers={self.layers}")
+        if not (self.use_attention or self.use_mamba or self.use_conv):
+            raise ConfigError("at least one of attention/mamba/conv must be enabled")
 
     @property
     def concat_width(self) -> int:
@@ -87,11 +103,11 @@ class FusionOutput:
 
 
 @dataclass
-class FusionWeights:
-    config: FusionConfig
+class FusionWeights(ad.Params):
+    spec: ModelSpec
     style_enc: Tensor     # n_styles x d, bias-free
     emotion_enc: Tensor   # n_emotions x d, bias-free
-    text_w: Tensor        # d_text_raw x d
+    text_w: Tensor        # d_text x d
     text_b: Tensor
     gesture_w: Tensor     # gesture_dim x d
     gesture_b: Tensor
@@ -111,30 +127,26 @@ class FusionWeights:
     local_w: Tensor       # concat_width x d
     local_b: Tensor
 
-    def named(self, prefix: str = "fusion") -> dict:
-        skip = {"config"}
-        return {f"{prefix}.{k}": v for k, v in self.__dict__.items() if k not in skip}
 
-
-def init_fusion(config: FusionConfig, rng: np.random.Generator, init_std: float = 0.02) -> FusionWeights:
-    d = config.d
+def init_fusion(spec: ModelSpec, rng: np.random.Generator, init_std: float = 0.02) -> FusionWeights:
+    d = spec.d
     t = lambda shape: ad.tensor(rng.normal(0.0, init_std, shape))
     z = lambda n: ad.tensor(np.zeros(n))
     return FusionWeights(
-        config=config,
-        style_enc=t((config.n_styles, d)),
-        emotion_enc=t((config.n_emotions, d)),
-        text_w=t((config.d_text_raw, d)), text_b=z(d),
-        gesture_w=t((config.gesture_dim, d)), gesture_b=z(d),
+        spec=spec,
+        style_enc=t((spec.n_styles, d)),
+        emotion_enc=t((spec.n_emotions, d)),
+        text_w=t((spec.d_text, d)), text_b=z(d),
+        gesture_w=t((spec.gesture_dim, d)), gesture_b=z(d),
         time_w1=t((d, d)), time_b1=z(d),
         time_w2=t((d, d)), time_b2=z(d),
-        dis_w_s=t((config.d_audio, d)),
-        dis_w_e=t((config.d_audio, d)),
-        dis_w_g=t((config.d_audio, d)),
+        dis_w_s=t((spec.d_audio, d)),
+        dis_w_e=t((spec.d_audio, d)),
+        dis_w_g=t((spec.d_audio, d)),
         enh_s_w=t((2 * d, d)), enh_s_b=z(d),
         enh_e_w=t((2 * d, d)), enh_e_b=z(d),
         se_w=t((2 * d, d)), se_b=z(d),
-        local_w=t((config.concat_width, d)), local_b=z(d),
+        local_w=t((spec.concat_width, d)), local_b=z(d),
     )
 
 
@@ -153,26 +165,26 @@ def sinusoidal_encoding(t: int, d: int) -> np.ndarray:
 
 def encode_timestep(weights: FusionWeights, t: int) -> Tensor:
     """Sinusoidal code of the diffusion step pushed through a 2-layer MLP."""
-    pe = ad.tensor(sinusoidal_encoding(t, weights.config.d).reshape(1, -1))
+    pe = ad.tensor(sinusoidal_encoding(t, weights.spec.d).reshape(1, -1))
     h = ad.silu(ad.matmul(pe, weights.time_w1) + weights.time_b1)
     out = ad.matmul(h, weights.time_w2) + weights.time_b2
-    return ad.reshape(out, (weights.config.d,))
+    return ad.reshape(out, (weights.spec.d,))
 
 
 def encode_conditions(weights: FusionWeights, audio: np.ndarray, text: np.ndarray,
                       style_id: int, emotion_id: int, x_t: np.ndarray, t: int) -> ConditionBundle:
     """Raw modality inputs -> encoded ConditionBundle."""
-    cfg = weights.config
+    spec = weights.spec
     audio = np.asarray(audio, dtype=np.float64)
     text = np.asarray(text, dtype=np.float64)
-    if audio.ndim != 2 or audio.shape[1] != cfg.d_audio:
-        raise ShapeError(f"audio features {audio.shape} do not match width {cfg.d_audio}")
-    if text.shape != (audio.shape[0], cfg.d_text_raw):
+    if audio.ndim != 2 or audio.shape[1] != spec.d_audio:
+        raise ShapeError(f"audio features {audio.shape} do not match width {spec.d_audio}")
+    if text.shape != (audio.shape[0], spec.d_text):
         raise ShapeError(f"text features {text.shape} misaligned with audio {audio.shape}")
-    if not 0 <= style_id < cfg.n_styles:
-        raise ShapeError(f"style id {style_id} outside {cfg.n_styles} classes")
-    if not 0 <= emotion_id < cfg.n_emotions:
-        raise ShapeError(f"emotion id {emotion_id} outside {cfg.n_emotions} classes")
+    if not 0 <= style_id < spec.n_styles:
+        raise ShapeError(f"style id {style_id} outside {spec.n_styles} classes")
+    if not 0 <= emotion_id < spec.n_emotions:
+        raise ShapeError(f"emotion id {emotion_id} outside {spec.n_emotions} classes")
     f_s = weights.style_enc[style_id, :]
     f_e = weights.emotion_enc[emotion_id, :]
     f_text = ad.matmul(ad.tensor(text), weights.text_w) + weights.text_b
@@ -224,7 +236,7 @@ def cross_local_attention(weights: FusionWeights, x: Tensor) -> Tensor:
     Frames never attend across a window boundary; the trailing window may
     be shorter.
     """
-    window = weights.config.window
+    window = weights.spec.window
     frames = x.value.shape[0]
     pieces = []
     for start in range(0, frames, window):
@@ -253,7 +265,7 @@ def style_emotion_losses(da: DisentangledAudio, f_s: Tensor, f_e: Tensor):
 
 def fusion_forward(weights: FusionWeights, bundle: ConditionBundle) -> FusionOutput:
     """Run the configured fusion rung over an encoded bundle."""
-    mode = weights.config.mode
+    mode = weights.spec.mode
     frames = bundle.frames
     if bundle.f_s is None:
         raise ConfigError("fusion requires a style feature")
@@ -281,8 +293,8 @@ def fusion_forward(weights: FusionWeights, bundle: ConditionBundle) -> FusionOut
         parts.append(emotion_slot)
     parts += [bundle.f_g, _rows(bundle.f_t, frames)]
     cat = ad.concat(parts, axis=1)
-    if cat.value.shape[1] != weights.config.concat_width:
+    if cat.value.shape[1] != weights.spec.concat_width:
         raise ShapeError(f"concatenated width {cat.value.shape[1]} does not match "
-                         f"configured {weights.config.concat_width}")
+                         f"configured {weights.spec.concat_width}")
     out.f_fuse = cross_local_attention(weights, cat)
     return out

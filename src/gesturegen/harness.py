@@ -12,7 +12,7 @@ from . import autodiff as ad
 from . import denoiser as dn
 from . import fusion as fu
 from . import metrics as mt
-from .bvh import clip_to_euler, clip_to_features, features_to_clip, parse_bvh, write_bvh
+from .bvh import clip_to_euler, clip_to_features, features_to_clip, read_bvh, write_bvh
 from .config import DEFAULTS, load_config
 from .diffusion import build_schedule, sample_loop
 from .errors import ConfigError, DataError, GestureGenError, NumericalError, ParseError
@@ -32,20 +32,10 @@ def _corpus_widths(dataset: Dataset):
             int(dataset.meta.get("n_emotions", 8)))
 
 
-def _model_configs(cfg: dict, gesture_dim: int, d_audio: int, d_text: int,
-                   n_styles: int, n_emotions: int):
-    fus = fu.FusionConfig(
-        d=cfg["model.d"], d_audio=d_audio, d_text_raw=d_text,
-        n_styles=n_styles, n_emotions=n_emotions,
-        gesture_dim=gesture_dim, window=cfg["model.window"],
-        mode=cfg["model.mode"], mask_prob=cfg["model.mask_prob"])
-    den = dn.DenoiserConfig(
-        layers=cfg["model.layers"], use_attention=cfg["model.use_attention"],
-        use_mamba=cfg["model.use_mamba"], use_conv=cfg["model.use_conv"],
-        residual=cfg["model.residual"], d=cfg["model.d"],
-        gesture_dim=gesture_dim, n_state=cfg["model.n_state"],
-        expand=cfg["model.expand"])
-    return den, fus
+def _model_spec(cfg: dict, widths) -> fu.ModelSpec:
+    """`cfg`'s `model.*` keys plus the corpus widths (in `WIDTH_KEYS` order), by suffix."""
+    keys = {k: cfg[k] for k in cfg if k.startswith("model.")} | dict(zip(WIDTH_KEYS, map(int, widths)))
+    return fu.ModelSpec(**{k.split(".")[1]: v for k, v in keys.items()})
 
 
 def _checkpoint_config(cfg: dict, dataset: Dataset) -> dict:
@@ -63,18 +53,17 @@ def run_train(cfg: dict, dataset_dir, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dataset = load_dataset(dataset_dir)
-    den_cfg, fus_cfg = _model_configs(cfg, *_corpus_widths(dataset))
-    model = dn.build_model(den_cfg, fus_cfg, cfg["seed"])
+    model = dn.build_model(_model_spec(cfg, _corpus_widths(dataset)), cfg["seed"])
     schedule = build_schedule(cfg["diffusion.steps"], cfg["diffusion.beta_start"],
                               cfg["diffusion.beta_end"])
-    opt = dn.AdamW(model.named_params(), lr=cfg["train.lr"],
+    opt = dn.AdamW(model.named(), lr=cfg["train.lr"],
                    weight_decay=cfg["train.weight_decay"])
     rng = np.random.default_rng(cfg["seed"])
     ckpt_path = out / "model.ckpt"
     log_path = out / "loss.csv"
 
     def save(step):
-        arrays = {k: p.value for k, p in model.named_params().items()}
+        arrays = {k: p.value for k, p in model.named().items()}
         arrays.update(opt.state_arrays())
         write_checkpoint(ckpt_path, arrays, _checkpoint_config(cfg, dataset), step)
 
@@ -108,9 +97,8 @@ def load_model(checkpoint_path):
     cfg = load_config(overrides={k: v for k, v in header.items() if k in DEFAULTS})
     if not set(WIDTH_KEYS) <= set(header):
         raise DataError(f"{checkpoint_path}: header lacks the corpus widths {WIDTH_KEYS}")
-    den, fus = _model_configs(cfg, *(int(header[k]) for k in WIDTH_KEYS))
-    model = dn.build_model(den, fus, cfg["seed"])
-    params = model.named_params()
+    model = dn.build_model(_model_spec(cfg, [header[k] for k in WIDTH_KEYS]), cfg["seed"])
+    params = model.named()
     missing = set(params) - set(arrays)
     if missing:
         raise DataError(f"checkpoint is missing parameters: {sorted(missing)[:5]} ...")
@@ -127,9 +115,9 @@ def run_sample(checkpoint_path, conditions_dir, n: int, seed: int, out_dir,
     out.mkdir(parents=True, exist_ok=True)
     model, cfg, _, _ = load_model(checkpoint_path)
     dataset = load_dataset(conditions_dir)
-    fus = model.fusion.config
+    spec = model.fusion.spec
     widths = _corpus_widths(dataset)[:3]
-    expected = (model.denoiser.config.gesture_dim, fus.d_audio, fus.d_text_raw)
+    expected = (spec.gesture_dim, spec.d_audio, spec.d_text)
     if widths != expected:
         raise ConfigError(f"conditions (gesture, audio, text) widths {widths} do not match "
                           f"checkpoint {expected}")
@@ -138,12 +126,12 @@ def run_sample(checkpoint_path, conditions_dir, n: int, seed: int, out_dir,
     records = dataset.records[:max_conditions] if max_conditions else dataset.records
     written = []
     for ci, rec in enumerate(records):
-        def denoise(x_t, t, _cond, rec=rec):
+        def denoise(x_t, t, rec=rec):
             return dn.predict_x0(model, rec.audio, rec.text, rec.style_id,
                                  rec.emotion_id, x_t, t)
 
         for k in range(n):
-            feats = sample_loop(denoise, None, rec.x0.shape, schedule,
+            feats = sample_loop(denoise, rec.x0.shape, schedule,
                                 seed=seed * 1_000_003 + ci * 1_000 + k)
             clip = features_to_clip(feats, dataset.fps, dataset.layout, orthonormalize=True)
             euler = clip_to_euler(clip)
@@ -158,7 +146,7 @@ def _load_gen_corpus(directory):
     files = sorted(directory.glob("*.bvh"))
     if not files:
         raise DataError(f"no BVH clips in {directory}")
-    return [(p.stem, parse_bvh(p.read_text())[1]) for p in files]
+    return [(p.stem, read_bvh(p)[1]) for p in files]
 
 
 def get_extractor(ref_dataset_dir, cfg: dict):

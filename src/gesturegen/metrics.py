@@ -20,7 +20,7 @@ BEAT_SMOOTH_WINDOW = 5
 
 
 @dataclass
-class FeatureExtractor:
+class FeatureExtractor(ad.Params):
     """Temporal-conv autoencoder over fixed-shape gesture clips."""
 
     frames: int
@@ -36,11 +36,6 @@ class FeatureExtractor:
     dec_b2: Tensor
     seed: int = 0
     steps: int = 0
-
-    def named(self) -> dict:
-        keys = ("enc_w1", "enc_b1", "enc_w2", "enc_b2",
-                "dec_w1", "dec_b1", "dec_w2", "dec_b2")
-        return {k: getattr(self, k) for k in keys}
 
     def _stack3(self, x: Tensor) -> Tensor:
         # frame t sees frames t-1, t, t+1 (edge frames repeated)

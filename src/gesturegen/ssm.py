@@ -186,7 +186,7 @@ def ssm_impulse_kernel(ssm: ContinuousSsm, delta: float, length: int) -> np.ndar
 
 
 @dataclass
-class MambaBlockWeights:
+class MambaBlockWeights(ad.Params):
     """Weights for one gated selective-SSM block of width d."""
 
     w_in: Tensor       # d x 2*d_inner
@@ -207,20 +207,6 @@ class MambaBlockWeights:
     @property
     def d_inner(self) -> int:
         return self.w_out.value.shape[0]
-
-    def named(self, prefix: str) -> dict:
-        return {
-            f"{prefix}.w_in": self.w_in,
-            f"{prefix}.conv_kernel": self.conv_kernel,
-            f"{prefix}.conv_bias": self.conv_bias,
-            f"{prefix}.w_delta": self.w_delta,
-            f"{prefix}.b_delta": self.b_delta,
-            f"{prefix}.w_b": self.w_b,
-            f"{prefix}.w_c": self.w_c,
-            f"{prefix}.a_log": self.a_log,
-            f"{prefix}.d_skip": self.d_skip,
-            f"{prefix}.w_out": self.w_out,
-        }
 
 
 def init_mamba_block(d: int, rng: np.random.Generator, n_state: int = SSM_STATE_DIM,

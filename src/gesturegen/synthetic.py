@@ -16,9 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from .bvh import (BvhJoint, JointLayout, MotionClip, Skeleton, clip_to_features,
-                  parse_bvh, write_bvh)
+                  read_bvh, write_bvh)
 from .errors import DataError
-from .fileio import read_features, read_key_values, write_features, write_float_lines, write_key_values
+from .fileio import (read_features, read_float_lines, read_key_values, write_features,
+                     write_float_lines, write_key_values)
 from .metrics import detect_gesture_beats
 
 
@@ -180,7 +181,7 @@ def load_dataset(directory) -> Dataset:
     skeleton = layout = None
     for path in bvh_files:
         name = path.stem
-        skel, clip = parse_bvh(path.read_text())
+        skel, clip = read_bvh(path)
         if skeleton is None:
             skeleton, layout = skel, clip.layout
         audio, _ = read_features(directory / f"{name}.audio.feat")
@@ -189,7 +190,6 @@ def load_dataset(directory) -> Dataset:
         onset_path = directory / f"{name}.onsets"
         onsets = np.array([])
         if onset_path.is_file():
-            from .fileio import read_float_lines
             onsets = read_float_lines(onset_path)
         records.append(ClipRecord(
             name=name, clip=clip, x0=clip_to_features(clip), audio=audio, text=text,

@@ -99,8 +99,8 @@ def test_criterion_3_gradient_suite():
     errs["mamba_block"] = ad.finite_diff_check(
         lambda x: ssm.mamba_block_forward(mw, x), rng.normal(0, 1, (6, 6)))
 
-    dcfg = dn.DenoiserConfig(layers=1, d=8, gesture_dim=5, n_state=4,
-                             use_conv=True, mamba_conv_width=2, block_conv_width=2)
+    dcfg = fu.ModelSpec(layers=1, d=8, gesture_dim=5, n_state=4,
+                        use_conv=True, mamba_conv_width=2, block_conv_width=2)
     dw = dn.build_variant(dcfg, seed=1)
     for p in dw.named().values():
         p.value[...] = rng.normal(0, 0.3, p.value.shape)
@@ -109,9 +109,9 @@ def test_criterion_3_gradient_suite():
     errs["mambattn_block"] = ad.finite_diff_check(
         lambda x: dn.mambattn_block(dw.blocks[0], x, dcfg), rng.normal(0, 1, (5, 8)))
 
-    fcfg = fu.FusionConfig(d=12, d_audio=5, d_text_raw=4, n_styles=2, n_emotions=8,
-                           gesture_dim=6, window=3, mode=fu.SEAD)
-    fw = fu.init_fusion(fcfg, rng, init_std=0.25)
+    spec = fu.ModelSpec(layers=2, d=12, d_audio=5, d_text=4, n_styles=2, n_emotions=8,
+                        gesture_dim=6, window=3, mode=fu.SEAD, n_state=4, mamba_conv_width=2)
+    fw = fu.init_fusion(spec, rng, init_std=0.25)
     text = rng.normal(0, 1, (6, 4))
     x_t = rng.normal(0, 1, (6, 6))
 
@@ -126,9 +126,7 @@ def test_criterion_3_gradient_suite():
 
     errs["sead_path"] = ad.finite_diff_check(sead_path, rng.normal(0, 1, (6, 5)))
 
-    dcfg2 = dn.DenoiserConfig(layers=2, d=12, gesture_dim=6, n_state=4,
-                              mamba_conv_width=2)
-    model = dn.GestureModel(fw, dn.build_variant(dcfg2, seed=2))
+    model = dn.GestureModel(fw, dn.build_variant(spec, seed=2))
     for name, p in model.denoiser.named().items():
         if "gamma" in name:
             p.value[...] = 1.0 + rng.normal(0, 0.1, p.value.shape)
@@ -195,7 +193,7 @@ def test_criterion_5_oracle_reverse_loop():
     rng = np.random.default_rng(3)
     x0 = rng.normal(0, 1, (60, 75))
     s = df.build_schedule(50, 1e-4, 0.2)
-    out = df.sample_loop(lambda x, t, cond: x0, None, x0.shape, s, seed=8)
+    out = df.sample_loop(lambda x, t: x0, x0.shape, s, seed=8)
     err = float(np.abs(out - x0).max())
     # zero-noise chain converges to the oracle before the final step too
     x = rng.normal(0, 1, x0.shape) * 3.0

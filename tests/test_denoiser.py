@@ -11,7 +11,7 @@ def small_config(**kw):
     base = dict(layers=1, d=8, gesture_dim=5, n_state=4, expand=2,
                 mamba_conv_width=2, block_conv_width=2)
     base.update(kw)
-    return dn.DenoiserConfig(**base)
+    return fu.ModelSpec(**base)
 
 
 def test_config_validation():
@@ -80,10 +80,21 @@ def test_build_variant_deterministic():
                for k in w1.named())
 
 
-def test_build_model_checks_agreement():
-    fus = fu.FusionConfig(d=8, d_audio=4, d_text_raw=3, gesture_dim=5)
-    with pytest.raises(ConfigError):
-        dn.build_model(small_config(d=16), fus, seed=0)
+def test_named_keys_are_pinned():
+    """The checkpoint and AdamW keys of existing MGCKPT2 files, in order."""
+    spec = small_config(use_conv=True, d_audio=4, d_text=3, n_styles=2)
+    model = dn.build_model(spec, seed=0)
+    fusion = ["style_enc", "emotion_enc", "text_w", "text_b", "gesture_w", "gesture_b",
+              "time_w1", "time_b1", "time_w2", "time_b2", "dis_w_s", "dis_w_e", "dis_w_g",
+              "enh_s_w", "enh_s_b", "enh_e_w", "enh_e_b", "se_w", "se_b", "local_w", "local_b"]
+    block = ["ln1_gamma", "ln1_beta", "w_q", "w_k", "w_v", "w_o", "ln2_gamma", "ln2_beta",
+             "conv_kernel", "conv_bias"]
+    mamba = ["w_in", "conv_kernel", "conv_bias", "w_delta", "b_delta", "w_b", "w_c",
+             "a_log", "d_skip", "w_out"]
+    assert list(model.named()) == ([f"fusion.{k}" for k in fusion]
+                                   + [f"denoiser.block0.{k}" for k in block]
+                                   + [f"denoiser.block0.mamba.{k}" for k in mamba]
+                                   + ["denoiser.proj_w", "denoiser.proj_b"])
 
 
 # -- AdamW --------------------------------------------------------------
@@ -127,10 +138,9 @@ def test_adamw_state_roundtrip():
 
 
 def make_tiny_model(mode=fu.SEAD, seed=0):
-    fus = fu.FusionConfig(d=8, d_audio=4, d_text_raw=3, n_styles=2, n_emotions=8,
-                          gesture_dim=5, window=4, mode=mode, mask_prob=0.1)
-    den = small_config(layers=1)
-    return dn.build_model(den, fus, seed)
+    spec = small_config(layers=1, d_audio=4, d_text=3, n_styles=2, n_emotions=8,
+                        window=4, mode=mode, mask_prob=0.1)
+    return dn.build_model(spec, seed)
 
 
 def make_batch(rng, n=2, frames=6):
@@ -142,20 +152,20 @@ def make_batch(rng, n=2, frames=6):
 
 def test_training_step_returns_losses_and_updates(rng):
     model = make_tiny_model()
-    opt = dn.AdamW(model.named_params(), lr=1e-3)
+    opt = dn.AdamW(model.named(), lr=1e-3)
     sch = build_schedule(10, 1e-4, 0.2)
-    before = {k: p.value.copy() for k, p in model.named_params().items()}
+    before = {k: p.value.copy() for k, p in model.named().items()}
     out = dn.training_step(model, opt, make_batch(rng), sch, np.random.default_rng(1))
     assert set(out) == {"l_total", "l_g", "l_s", "l_e"}
     assert out["l_total"] == pytest.approx(out["l_g"] + out["l_s"] + out["l_e"], rel=1e-9)
-    changed = [k for k, p in model.named_params().items()
+    changed = [k for k, p in model.named().items()
                if not np.array_equal(p.value, before[k])]
     assert len(changed) > 0
 
 
 def test_training_step_sa_mode_has_no_alignment_losses(rng):
     model = make_tiny_model(mode=fu.SA)
-    opt = dn.AdamW(model.named_params(), lr=1e-3)
+    opt = dn.AdamW(model.named(), lr=1e-3)
     sch = build_schedule(10, 1e-4, 0.2)
     out = dn.training_step(model, opt, make_batch(rng), sch, np.random.default_rng(1))
     assert out["l_s"] == 0.0 and out["l_e"] == 0.0
@@ -163,7 +173,7 @@ def test_training_step_sa_mode_has_no_alignment_losses(rng):
 
 def test_training_step_rejects_empty_batch(rng):
     model = make_tiny_model()
-    opt = dn.AdamW(model.named_params(), lr=1e-3)
+    opt = dn.AdamW(model.named(), lr=1e-3)
     with pytest.raises(ShapeError):
         dn.training_step(model, opt, [], build_schedule(10), np.random.default_rng(0))
 
@@ -171,7 +181,7 @@ def test_training_step_rejects_empty_batch(rng):
 def test_training_step_raises_on_nonfinite(rng):
     model = make_tiny_model()
     model.fusion.gesture_w.value[...] = np.inf
-    opt = dn.AdamW(model.named_params(), lr=1e-3)
+    opt = dn.AdamW(model.named(), lr=1e-3)
     with pytest.raises(NumericalError):
         dn.training_step(model, opt, make_batch(rng), build_schedule(10),
                          np.random.default_rng(0))
@@ -181,7 +191,7 @@ def test_training_is_deterministic(rng):
     losses = []
     for _ in range(2):
         model = make_tiny_model(seed=5)
-        opt = dn.AdamW(model.named_params(), lr=1e-3)
+        opt = dn.AdamW(model.named(), lr=1e-3)
         sch = build_schedule(10, 1e-4, 0.2)
         r = np.random.default_rng(42)
         batch = make_batch(np.random.default_rng(7))

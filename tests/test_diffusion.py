@@ -65,7 +65,7 @@ def test_posterior_coefficients_sum():
 def test_oracle_reverse_loop_recovers_x0(rng):
     x0 = rng.normal(0, 1, (6, 4))
     s = df.build_schedule(50, 1e-4, 0.2)
-    out = df.sample_loop(lambda x, t, cond: x0, None, x0.shape, s, seed=3)
+    out = df.sample_loop(lambda x, t: x0, x0.shape, s, seed=3)
     assert np.abs(out - x0).max() < 1e-6
 
 
@@ -81,16 +81,16 @@ def test_zero_noise_chain_converges(rng):
 
 def test_constant_zero_denoiser(rng):
     s = df.build_schedule(30, 1e-4, 0.2)
-    out = df.sample_loop(lambda x, t, cond: np.zeros_like(x), None, (5, 2), s, seed=1)
+    out = df.sample_loop(lambda x, t: np.zeros_like(x), (5, 2), s, seed=1)
     assert np.array_equal(out, np.zeros((5, 2)))
 
 
 def test_sample_loop_deterministic():
     s = df.build_schedule(20, 1e-4, 0.2)
-    den = lambda x, t, cond: 0.5 * x
-    a = df.sample_loop(den, None, (4, 4), s, seed=9)
-    b = df.sample_loop(den, None, (4, 4), s, seed=9)
-    c = df.sample_loop(den, None, (4, 4), s, seed=10)
+    den = lambda x, t: 0.5 * x
+    a = df.sample_loop(den, (4, 4), s, seed=9)
+    b = df.sample_loop(den, (4, 4), s, seed=9)
+    c = df.sample_loop(den, (4, 4), s, seed=10)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -98,7 +98,7 @@ def test_sample_loop_deterministic():
 def test_sample_loop_checks_denoiser_shape():
     s = df.build_schedule(5, 1e-4, 0.2)
     with pytest.raises(ShapeError):
-        df.sample_loop(lambda x, t, cond: x[:1], None, (4, 2), s, seed=0)
+        df.sample_loop(lambda x, t: x[:1], (4, 2), s, seed=0)
 
 
 def test_forward_marginal_monte_carlo(rng):

@@ -71,6 +71,19 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
         fileio.read_checkpoint(p)
 
 
+@pytest.mark.parametrize("good,bad", [(b"\n2 3\n", b"\n2 x\n"), (b"step=5\n", b"step=five\n")],
+                         ids=["shape", "step"])
+def test_checkpoint_rejects_non_integer_shape_or_step(tmp_path, good, bad):
+    p = tmp_path / "bad.ckpt"
+    fileio.write_checkpoint(p, {"w": np.ones((2, 3))}, {"model.d": 64}, step=5)
+    data = p.read_bytes()
+    assert data.count(good) == 1
+    p.write_bytes(data.replace(good, bad))
+    with pytest.raises(ParseError) as e:
+        fileio.read_checkpoint(p)
+    assert str(p) in str(e.value)
+
+
 def test_float_lines_roundtrip(tmp_path):
     path = tmp_path / "vals.txt"
     fileio.write_float_lines(path, [1.0, 0.25, -3.5])

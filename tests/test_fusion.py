@@ -8,32 +8,32 @@ from gesturegen.errors import ConfigError, ShapeError
 
 def make_weights(mode, d=8, d_audio=6, d_text=5, gesture_dim=7, seed=0, window=4,
                  init_std=0.3):
-    cfg = fu.FusionConfig(d=d, d_audio=d_audio, d_text_raw=d_text, n_styles=3,
-                          n_emotions=8, gesture_dim=gesture_dim, window=window,
-                          mode=mode, mask_prob=0.1)
+    cfg = fu.ModelSpec(d=d, d_audio=d_audio, d_text=d_text, n_styles=3,
+                       n_emotions=8, gesture_dim=gesture_dim, window=window,
+                       mode=mode, mask_prob=0.1)
     return fu.init_fusion(cfg, np.random.default_rng(seed), init_std=init_std)
 
 
 def make_inputs(cfg, rng, frames=6):
     audio = rng.normal(0, 1, (frames, cfg.d_audio))
-    text = rng.normal(0, 1, (frames, cfg.d_text_raw))
+    text = rng.normal(0, 1, (frames, cfg.d_text))
     x_t = rng.normal(0, 1, (frames, cfg.gesture_dim))
     return audio, text, x_t
 
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        fu.FusionConfig(mode="bogus")
+        fu.ModelSpec(mode="bogus")
     with pytest.raises(ConfigError):
-        fu.FusionConfig(mask_prob=1.5)
+        fu.ModelSpec(mask_prob=1.5)
     with pytest.raises(ConfigError):
-        fu.FusionConfig(window=0)
+        fu.ModelSpec(window=0)
 
 
 def test_concat_width_per_mode():
     for mode, want in [(fu.SA, 6 + 4 * 8), (fu.SEA, 6 + 5 * 8),
                        (fu.SEAD_BASIC, 6 * 8), (fu.SEAD, 6 * 8)]:
-        cfg = fu.FusionConfig(d=8, d_audio=6, mode=mode)
+        cfg = fu.ModelSpec(d=8, d_audio=6, mode=mode)
         assert cfg.concat_width == want, mode
 
 
@@ -47,7 +47,7 @@ def test_sinusoidal_encoding_properties():
 
 def test_encode_conditions_shapes(rng):
     w = make_weights(fu.SEAD)
-    audio, text, x_t = make_inputs(w.config, rng)
+    audio, text, x_t = make_inputs(w.spec, rng)
     b = fu.encode_conditions(w, audio, text, 1, 2, x_t, 5)
     assert b.f_a.value.shape == (6, 6)
     assert b.f_text.value.shape == (6, 8)
@@ -85,7 +85,7 @@ def test_cross_attend_f1_is_identity_plus_value(rng):
 
 def test_cross_local_attention_window_locality(rng):
     w = make_weights(fu.SEAD, window=4)
-    width = w.config.concat_width
+    width = w.spec.concat_width
     x = rng.normal(0, 1, (8, width))
     base = fu.cross_local_attention(w, ad.tensor(x)).value
     x2 = x.copy()
@@ -97,7 +97,7 @@ def test_cross_local_attention_window_locality(rng):
 
 def test_cross_local_attention_trailing_window(rng):
     w = make_weights(fu.SEAD, window=4)
-    x = rng.normal(0, 1, (6, w.config.concat_width))  # trailing window of 2
+    x = rng.normal(0, 1, (6, w.spec.concat_width))  # trailing window of 2
     out = fu.cross_local_attention(w, ad.tensor(x))
     assert out.value.shape == (6, 8)
 
@@ -122,7 +122,7 @@ def test_mask_conditions_rate(rng):
 @pytest.mark.parametrize("mode", fu.FUSION_MODES)
 def test_fusion_forward_all_modes(mode, rng):
     w = make_weights(mode)
-    audio, text, x_t = make_inputs(w.config, rng)
+    audio, text, x_t = make_inputs(w.spec, rng)
     b = fu.encode_conditions(w, audio, text, 0, 3, x_t, 2)
     out = fu.fusion_forward(w, b)
     assert out.f_fuse.value.shape == (6, 8)
@@ -143,13 +143,13 @@ def test_sead_reduces_to_sead_basic_with_null_attention(rng):
     w_basic = make_weights(fu.SEAD_BASIC)
     # identical parameters except the mode tag
     for name in w_basic.__dict__:
-        if name != "config":
+        if name != "spec":
             getattr(w_basic, name).value[...] = getattr(w_sead, name).value
     w_sead.se_w.value[...] = 0.0
     w_basic.se_w.value[...] = 0.0
     w_sead.se_b.value[...] = 0.0
     w_basic.se_b.value[...] = 0.0
-    audio, text, x_t = make_inputs(w_sead.config, rng)
+    audio, text, x_t = make_inputs(w_sead.spec, rng)
     b1 = fu.encode_conditions(w_sead, audio, text, 1, 1, x_t, 0)
     b2 = fu.encode_conditions(w_basic, audio, text, 1, 1, x_t, 0)
     out1 = fu.fusion_forward(w_sead, b1)
@@ -189,7 +189,7 @@ def test_fusion_gradient_sead_path(rng):
 
 def test_fusion_requires_emotion_outside_sa(rng):
     w = make_weights(fu.SEA)
-    audio, text, x_t = make_inputs(w.config, rng)
+    audio, text, x_t = make_inputs(w.spec, rng)
     b = fu.encode_conditions(w, audio, text, 0, 0, x_t, 0)
     b.f_e = None
     with pytest.raises(ConfigError):

@@ -51,7 +51,7 @@ def test_checkpoint_holds_the_training_state_bit_for_bit(tmp_path, mini_cfg, min
 
     model, spec, _, opt_state = harness.load_model(ckpt)
     assert all(spec[k] == cfg[k] for k in cfg if k.split(".")[0] in ("model", "diffusion", "train"))
-    assert all(p.value.tobytes() == saved[k].tobytes() for k, p in model.named_params().items())
+    assert all(p.value.tobytes() == saved[k].tobytes() for k, p in model.named().items())
     assert all(v.tobytes() == saved[k].tobytes() for k, v in opt_state.items())
 
 
@@ -66,7 +66,7 @@ def test_load_model_rejects_header_without_widths(tmp_path, mini_run):
 def test_load_model_bit_exact_reload(mini_run):
     m1, cfg1, step1, opt1 = harness.load_model(mini_run["checkpoint"])
     m2, _, _, _ = harness.load_model(mini_run["checkpoint"])
-    p1, p2 = m1.named_params(), m2.named_params()
+    p1, p2 = m1.named(), m2.named()
     assert set(p1) == set(p2)
     for k in p1:
         assert np.array_equal(p1[k].value, p2[k].value), k
@@ -80,7 +80,7 @@ def test_resume_training_is_deterministic(mini_run, mini_cfg, mini_corpus):
 
     def resume_losses():
         model, cfg, step, opt_state = harness.load_model(mini_run["checkpoint"])
-        opt = dn.AdamW(model.named_params(), lr=mini_cfg["train.lr"],
+        opt = dn.AdamW(model.named(), lr=mini_cfg["train.lr"],
                        weight_decay=mini_cfg["train.weight_decay"])
         opt.load_state_arrays(opt_state)
         assert opt.t > 0
@@ -197,6 +197,28 @@ def test_mgckpt1_is_rejected_and_retrained_as_extractor_cache(tmp_path, mini_cfg
     assert all(np.array_equal(ext.named()[k].value, p.value) for k, p in trained.named().items())
 
 
+def _corrupt_shape_line(path):
+    """Replace the first array's shape line with a non-integer one."""
+    head, sep, rest = path.read_bytes().partition(b"--\n")
+    name, shape, payload = rest.split(b"\n", 2)
+    path.write_bytes(head + sep + name + b"\n" + shape + b"x\n" + payload)
+
+
+def test_extractor_cache_with_a_bad_shape_line_is_retrained(tmp_path, mini_cfg):
+    corpus = tmp_path / "data"
+    synthetic.gen_synthetic_dataset(
+        synthetic.SyntheticSpec(n_clips=3, frames=20, joints=2, seed=3), corpus)
+    cfg = dict(mini_cfg, **{"eval.extractor_steps": 3, "eval.extractor_hidden": 8})
+    trained, _ = harness.get_extractor(corpus, cfg)
+    cache = corpus / "fgd_extractor.ckpt"
+    _corrupt_shape_line(cache)
+    with pytest.raises(ParseError):
+        read_checkpoint(cache)
+    ext, _ = harness.get_extractor(corpus, cfg)
+    assert read_checkpoint(cache)[1] == {"seed": str(cfg["seed"]), "steps": "3", "hidden": "8"}
+    assert all(np.array_equal(ext.named()[k].value, p.value) for k, p in trained.named().items())
+
+
 def test_ablation_variant_lists():
     names = [n for n, _ in harness.ablation_variants()]
     assert len(names) == 16
@@ -298,7 +320,26 @@ def test_cli_exit_codes(tmp_path, mini_corpus, capsys):
     cfg.write_text(f"data.dir = {mini_corpus}\ndata.gen_dir = {gen}\n"
                    "eval.extractor_steps = 30\n")
     assert cli.main(["eval", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
-    assert "Frames: must be at least 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Frames: must be at least 1" in err and str(gen / "clip_0000.bvh") in err
+
+    # 3: a reference corpus clip with no frames
+    bad_ref = tmp_path / "bad_ref"
+    shutil.copytree(mini_corpus, bad_ref)
+    (bad_ref / "clip_0002.bvh").write_text(head + "Frames: 0\nFrame Time: 0.033333333333\n")
+    cfg.write_text(f"data.dir = {bad_ref}\ntrain.steps = 1\n")
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert str(bad_ref / "clip_0002.bvh") in capsys.readouterr().err
+
+
+def test_cli_sample_rejects_corrupt_checkpoint(tmp_path, mini_run, mini_corpus, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    shutil.copy(mini_run["checkpoint"], ckpt)
+    _corrupt_shape_line(ckpt)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"data.dir = {mini_corpus}\ndata.checkpoint = {ckpt}\n")
+    assert cli.main(["sample", "--config", str(cfg), "--out", str(tmp_path / "gen")]) == 3
+    assert capsys.readouterr().err.startswith(f"data error: {ckpt}")
 
 
 def test_cli_sample_rejects_condition_width_mismatch(tmp_path, mini_run, mini_cfg, capsys):
