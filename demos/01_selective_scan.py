@@ -1,8 +1,10 @@
-"""Selective state-space scans: recurrence, prefix scan, and convolution.
+"""Selective state-space scans: recurrence and convolution.
 
 A diagonal SSM h' = A h + B u, y = C h + D u becomes a per-step linear
-recurrence after zero-order-hold discretization. This demo shows the
-three equivalent ways the package computes it and why they agree.
+recurrence after zero-order-hold discretization. This demo runs that
+recurrence as a differentiable scan and as a forward-only numpy scan,
+checks both against the convolution with the SSM's impulse response,
+and shows why they agree.
 """
 import time
 
@@ -29,7 +31,7 @@ y_scan = ssm.selective_scan_parallel(
 print(f"impulse kernel head: {np.round(kernel[:4], 4)}")
 print(f"max |scan - convolution| = {np.abs(y_scan - y_conv).max():.2e}")
 
-print("\n== input-dependent scan: sequential vs parallel ==")
+print("\n== input-dependent scan: differentiable vs forward-only ==")
 L, C, Ns = 300, 8, 16
 delta_t = rng.uniform(0.05, 1.0, (L, C))
 a = -rng.uniform(0.2, 2.0, (C, Ns))
@@ -45,8 +47,8 @@ t_seq = time.perf_counter() - t0
 t0 = time.perf_counter()
 y_par = ssm.selective_scan_parallel(abar, bbar, cmat, d, u)
 t_par = time.perf_counter() - t0
-print(f"L={L}: max |seq - parallel| = {np.abs(y_seq - y_par).max():.2e}")
-print(f"sequential {t_seq * 1e3:.1f} ms, parallel {t_par * 1e3:.1f} ms")
+print(f"L={L}: max |differentiable - forward-only| = {np.abs(y_seq - y_par).max():.2e}")
+print(f"differentiable {t_seq * 1e3:.1f} ms, forward-only {t_par * 1e3:.1f} ms")
 
 print("\n== gated Mamba block ==")
 w = ssm.init_mamba_block(16, rng, init_std=0.1)

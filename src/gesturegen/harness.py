@@ -50,6 +50,9 @@ def run_train(cfg: dict, dataset_dir, out_dir) -> dict:
     On a non-finite loss the last good checkpoint is kept and the error
     re-raised.
     """
+    for key in ("train.steps", "train.batch"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dataset = load_dataset(dataset_dir)

@@ -1,10 +1,10 @@
 """Selective state-space sequence modeling.
 
 Continuous diagonal SSM, its discretization, the input-dependent scan in
-sequential, fused (both differentiable) and parallel prefix-combine
-forms, and the gated Mamba block that wires them together. The
-sequential and fused scans share one linear recurrence: forward for the
-states, and over the reversed sequence for the adjoint.
+sequential and fused (both differentiable) and forward-only numpy forms,
+and the gated Mamba block that wires them together. All three scans
+share one linear recurrence: forward for the states, and over the
+reversed sequence for the adjoint.
 """
 from __future__ import annotations
 
@@ -55,8 +55,21 @@ def discretize_zoh(a: np.ndarray, b: np.ndarray, delta: float):
 def _linear_recurrence(a: np.ndarray, h: np.ndarray) -> None:
     """h_k = a_{k-1} h_{k-1} + b_k along axis 0 from a zero start, in place:
     h holds b on entry and the states on exit; len(a) == len(h) - 1."""
+    row = np.empty(h.shape[1:])
     for k in range(len(a)):
-        h[k + 1] += a[k] * h[k]
+        h[k + 1] += np.multiply(a[k], h[k], out=row)
+
+
+def _scan_states(abar: np.ndarray, bbar: np.ndarray, cmat: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Check the per-step scan shapes and return the states h (L x C x N)."""
+    L, C = u.shape
+    if abar.shape != bbar.shape or abar.shape != cmat.shape:
+        raise ShapeError("scan parameter shapes differ")
+    if abar.shape[:2] != (L, C):
+        raise ShapeError(f"scan params {abar.shape} do not match input {u.shape}")
+    h = bbar * u[:, :, None]
+    _linear_recurrence(abar[1:], h)
+    return h
 
 
 def selective_scan_seq(abar: Tensor, bbar: Tensor, cmat: Tensor, d: Tensor, u: Tensor) -> Tensor:
@@ -69,14 +82,7 @@ def selective_scan_seq(abar: Tensor, bbar: Tensor, cmat: Tensor, d: Tensor, u: T
     """
     abar, bbar, cmat = ad._as_tensor(abar), ad._as_tensor(bbar), ad._as_tensor(cmat)
     d, u = ad._as_tensor(d), ad._as_tensor(u)
-    L, C = u.value.shape
-    if abar.value.shape != bbar.value.shape or abar.value.shape != cmat.value.shape:
-        raise ShapeError("scan parameter shapes differ")
-    if abar.value.shape[:2] != (L, C):
-        raise ShapeError(f"scan params {abar.value.shape} do not match input {u.value.shape}")
-
-    h = bbar.value * u.value[:, :, None]
-    _linear_recurrence(abar.value[1:], h)
+    h = _scan_states(abar.value, bbar.value, cmat.value, u.value)
     y = (cmat.value * h).sum(axis=2) + d.value * u.value
     out = Tensor(y, (abar, bbar, cmat, d, u))
 
@@ -95,33 +101,10 @@ def selective_scan_seq(abar: Tensor, bbar: Tensor, cmat: Tensor, d: Tensor, u: T
 
 def selective_scan_parallel(abar: np.ndarray, bbar: np.ndarray, cmat: np.ndarray,
                             d: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Same contract as `selective_scan_seq`, via an associative prefix scan.
-
-    The recurrence h_k = a_k h_{k-1} + b_k is a scan under
-    (a1, b1) o (a2, b2) = (a1*a2, a2*b1 + b2); a Hillis-Steele doubling
-    sweep with a fixed combine order keeps outputs reproducible.
-    Forward-only (numpy in, numpy out).
-    """
-    abar = np.asarray(abar, dtype=np.float64)
-    bbar = np.asarray(bbar, dtype=np.float64)
-    cmat = np.asarray(cmat, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    L, C = u.shape
-    if abar.shape[:2] != (L, C):
-        raise ShapeError(f"scan params {abar.shape} do not match input {u.shape}")
-
-    a = abar.copy()
-    b = bbar * u[:, :, None]
-    stride = 1
-    while stride < L:
-        a_prev = a[:-stride]
-        b_prev = b[:-stride]
-        b[stride:] = a[stride:] * b_prev + b[stride:]
-        a[stride:] = a[stride:] * a_prev
-        stride *= 2
-    h = b  # inclusive prefix: h_k with zero initial state
-    return (cmat * h).sum(axis=2) + d * u
+    """Forward-only `selective_scan_seq` (numpy in, numpy out), same shapes and checks:
+    the shared linear recurrence and one reduction over the state axis."""
+    abar, bbar, cmat, d, u = (np.asarray(v, dtype=np.float64) for v in (abar, bbar, cmat, d, u))
+    return (cmat * _scan_states(abar, bbar, cmat, u)).sum(axis=2) + d * u
 
 
 def selective_scan_fused(delta: Tensor, b_proj: Tensor, c_proj: Tensor,
@@ -146,26 +129,31 @@ def selective_scan_fused(delta: Tensor, b_proj: Tensor, c_proj: Tensor,
         raise ShapeError(f"fused scan projections must be L x N, got "
                          f"{b_proj.value.shape} / {c_proj.value.shape}")
 
-    abar = np.exp(delta.value[:, :, None] * a.value[None])  # L x C x N
-    h = delta.value[:, :, None] * b_proj.value[:, None, :] * u.value[:, :, None]
+    # abar and h are the only L x C x N arrays kept for the backward
+    abar = delta.value[:, :, None] * a.value
+    np.exp(abar, out=abar)
+    h = (delta.value * u.value)[:, :, None] * b_proj.value[:, None, :]
     _linear_recurrence(abar[1:], h)
-    y = np.einsum("ln,lcn->lc", c_proj.value, h) + d_skip.value * u.value
+    y = np.matmul(h, c_proj.value[:, :, None])[:, :, 0] + d_skip.value * u.value
     out = Tensor(y, (delta, b_proj, c_proj, a, d_skip, u))
 
     def bwd(g):
-        c_proj.grad += np.einsum("lc,lcn->ln", g, h)
+        c_proj.grad += np.matmul(g[:, None, :], h)[:, 0]
         d_skip.grad += (g * u.value).sum(axis=0)
         lam = c_proj.value[:, None, :] * g[:, :, None]
         _linear_recurrence(abar[:0:-1], lam[::-1])
         # chain through bbar = delta * b (lam_b = sum_n lam * b) and, from k = 1 on
-        # (h_{-1} = 0), through abar = exp(delta * a) (g_da = dL / d(delta * a))
-        lam_b = np.einsum("lcn,ln->lc", lam, b_proj.value)
-        g_da = lam[1:] * h[:-1] * abar[1:]
+        # (h_{-1} = 0), through abar = exp(delta * a): g_da = dL / d(delta * a)
+        # is formed in lam's buffer after lam's last readers
+        lam_b = np.matmul(lam, b_proj.value[:, :, None])[:, :, 0]
+        b_proj.grad += np.matmul((delta.value * u.value)[:, None, :], lam)[:, 0]
+        g_da = lam[1:]
+        g_da *= h[:-1]
+        g_da *= abar[1:]
         g_delta = lam_b * u.value
         g_delta[1:] += np.einsum("lcn,cn->lc", g_da, a.value)
         delta.grad += g_delta
         a.grad += np.einsum("lcn,lc->cn", g_da, delta.value[1:])
-        b_proj.grad += np.einsum("lcn,lc->ln", lam, delta.value * u.value)
         u.grad += lam_b * delta.value + d_skip.value * g
 
     out._bwd = bwd

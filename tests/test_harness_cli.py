@@ -290,6 +290,11 @@ def test_cli_exit_codes(tmp_path, mini_corpus, capsys):
     bad.write_text("train.stepz = 1\n")
     assert cli.main(["gen-synthetic", "--config", str(bad),
                      "--out", str(tmp_path / "o")]) == 2
+    capsys.readouterr()
+    for key in ("train.steps", "train.batch"):  # a run with no steps or an empty batch
+        bad.write_text(f"data.dir = {mini_corpus}\n{key} = 0\n")
+        assert cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key} must be at least 1")
 
     # 3: data problems (empty corpus dir)
     empty = tmp_path / "empty"

@@ -28,6 +28,14 @@ def test_parallel_matches_sequential(L, rng):
     assert np.abs(seq - par).max() / denom < 1e-12
 
 
+def test_parallel_rejects_mismatched_shapes(rng):
+    abar, bbar, cmat, d, u = random_scan_case(rng, 8)
+    with pytest.raises(ShapeError):
+        ssm.selective_scan_parallel(abar, bbar[:, :, :1], cmat, d, u)
+    with pytest.raises(ShapeError):
+        ssm.selective_scan_parallel(abar[1:], bbar[1:], cmat[1:], d, u)
+
+
 def test_scan_causality(rng):
     abar, bbar, cmat, d, u = random_scan_case(rng, 20)
     base = ssm.selective_scan_parallel(abar, bbar, cmat, d, u)
@@ -85,11 +93,13 @@ def test_fused_scan_gradients(L, rng):
         assert ad.finite_diff_check(op, consts[name]) < 1e-6, name
 
 
-@pytest.mark.parametrize("L", [1, 2, 9])
-def test_fused_scan_gradients_chain_sequential(L, rng):
+@pytest.mark.parametrize("L,C,N", [pytest.param(L, 4, 5, id=str(L)) for L in (1, 2, 9)]
+                         + [(60, 128, 16), (300, 128, 16)])
+def test_fused_scan_gradients_chain_sequential(L, C, N, rng):
     """Fused-scan gradients equal the sequential scan's gradients chained
-    through abar = exp(delta * a), bbar = delta * b and cmat = c."""
-    C, N = 4, 5
+    through abar = exp(delta * a), bbar = delta * b and cmat = c, at toy
+    and at model widths; a second backward gives the same gradients, so the
+    backward leaves the forward's saved states as it found them."""
     delta = rng.uniform(0.05, 1.0, (L, C))
     b_proj = rng.normal(0, 1, (L, N))
     c_proj = rng.normal(0, 1, (L, N))
@@ -98,7 +108,12 @@ def test_fused_scan_gradients_chain_sequential(L, rng):
     u = rng.normal(0, 1, (L, C))
     g = ad.tensor(rng.normal(0, 1, (L, C)))
     fused = [ad.tensor(v) for v in (delta, b_proj, c_proj, a, d, u)]
-    (ssm.selective_scan_fused(*fused) * g).sum().backward()
+    loss = (ssm.selective_scan_fused(*fused) * g).sum()
+    loss.backward()
+    first = [t.grad.copy() for t in fused]
+    loss.backward()
+    for t, grad in zip(fused, first):
+        assert np.array_equal(t.grad, grad)
 
     abar = np.exp(delta[:, :, None] * a[None])
     bbar = np.broadcast_to(delta[:, :, None] * b_proj[:, None, :], (L, C, N)).copy()
