@@ -123,8 +123,24 @@ def predict_x0(model: GestureModel, audio: np.ndarray, text: np.ndarray,
 # -- optimizer ----------------------------------------------------------
 
 
+_BLOCK = 1 << 15  # elements per AdamW update block: its six arrays (1.5 MB) fit a core's L2 cache
+
+
+def _blocks(*arrays):
+    """Views of same-shape arrays, cut along axis 0 into blocks of about `_BLOCK` elements
+    (at least one row each; a 0-d array is one block of one element)."""
+    arrays = [np.atleast_1d(a) for a in arrays]
+    n = len(arrays[0])
+    rows = max(1, _BLOCK * n // max(1, arrays[0].size))
+    for i in range(0, n, rows):
+        yield [a[i:i + rows] for a in arrays]
+
+
 class AdamW:
-    """Decoupled weight-decay Adam over a named parameter dict."""
+    """Decoupled weight-decay Adam (Loshchilov & Hutter, arXiv 1711.05101)
+    over a named parameter dict. `step` updates the moments and the values
+    in place, block by block, through two scratch buffers of one block; they
+    live only during the step, so they add nothing to a training step's peak memory."""
 
     def __init__(self, params: dict, lr: float = 3e-5, betas=(0.9, 0.999),
                  eps: float = 1e-8, weight_decay: float = 1e-4):
@@ -136,21 +152,41 @@ class AdamW:
         self.t = 0
         self.m = {k: np.zeros_like(p.value) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.value) for k, p in params.items()}
+        self._size = max((x.size for p in params.values() for (x,) in _blocks(p.value)), default=0)
 
     def step(self):
+        """m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;
+        u = (m/b1c) / (sqrt(v/b2c) + eps);  p -= lr*(u + wd*p).
+        Each operation writes into an existing buffer, in this order, so the
+        result equals these expressions bit for bit; blocks keep the buffers
+        in cache. Parameters without a gradient are skipped."""
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1, b2 = self.beta1, self.beta2
+        c1, c2 = 1.0 - b1, 1.0 - b2
+        b1c = 1.0 - b1 ** self.t
+        b2c = 1.0 - b2 ** self.t
+        scratch = (np.empty(self._size), np.empty(self._size))
         for name, p in self.params.items():
-            g = p.grad
-            if g is None:
+            if p.grad is None:
                 continue
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            update = (self.m[name] / b1c) / (np.sqrt(self.v[name] / b2c) + self.eps)
-            p.value -= self.lr * (update + self.weight_decay * p.value)
+            for m, v, x, g in _blocks(self.m[name], self.v[name], p.value, p.grad):
+                s, u = (buf[:x.size].reshape(x.shape) for buf in scratch)
+                np.multiply(m, b1, out=m)
+                m += np.multiply(c1, g, out=s)
+                np.multiply(v, b2, out=v)
+                v += np.multiply(np.multiply(c2, g, out=s), g, out=s)
+                np.divide(m, b1c, out=u)
+                np.sqrt(np.divide(v, b2c, out=s), out=s)
+                s += self.eps
+                u /= s
+                np.multiply(self.weight_decay, x, out=s)
+                s += u
+                s *= self.lr
+                x -= s
 
     def state_arrays(self) -> dict:
+        """`opt.step` and the live moment arrays, not copies: the next `step`
+        overwrites them, so copy what must outlive it."""
         out = {"opt.step": np.array([float(self.t)])}
         for name in self.params:
             out[f"opt.m.{name}"] = self.m[name]
@@ -158,6 +194,7 @@ class AdamW:
         return out
 
     def load_state_arrays(self, arrays: dict):
+        """Copy the moments in, so that `step` never writes to the caller's arrays."""
         self.t = int(arrays["opt.step"][0])
         for name in self.params:
             self.m[name] = np.array(arrays[f"opt.m.{name}"], dtype=np.float64)

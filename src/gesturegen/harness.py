@@ -3,6 +3,7 @@ sampling back to BVH, corpus evaluation, and the ablation matrix."""
 from __future__ import annotations
 
 import csv
+import hashlib
 import traceback
 from pathlib import Path
 
@@ -154,21 +155,26 @@ def _load_gen_corpus(directory):
 
 def get_extractor(ref_dataset_dir, cfg: dict):
     """Train (or load a cached) reconstruction feature extractor on the
-    reference corpus. The cache `<ref>/fgd_extractor.ckpt` is reused only if it reads
-    and its seed, steps and hidden width match `cfg`; otherwise it is retrained and overwritten."""
+    reference corpus. The cache `<ref>/fgd_extractor.ckpt` is reused only if it reads,
+    its seed, steps and hidden width match `cfg`, and its `corpus` digest (sha256 of
+    the clips' `x0` bytes in record order) matches; otherwise it is retrained and overwritten."""
     ref = load_dataset(ref_dataset_dir)
     cache = Path(ref_dataset_dir) / "fgd_extractor.ckpt"
     key = {"seed": cfg["seed"], "steps": cfg["eval.extractor_steps"],
            "hidden": cfg["eval.extractor_hidden"]}
+    corpus = hashlib.sha256()
+    for r in ref.records:
+        corpus.update(r.x0.tobytes())
+    header = key | {"corpus": corpus.hexdigest()}
     try:
         arrays, meta, _ = read_checkpoint(cache)
     except (OSError, ParseError):  # absent or unreadable: a miss
         meta = None
-    if meta == {k: str(v) for k, v in key.items()}:
+    if meta == {k: str(v) for k, v in header.items()}:
         weights = {k: ad.tensor(v) for k, v in arrays.items()}
         return mt.FeatureExtractor(*ref.records[0].x0.shape, **key, **weights), ref
     ext, _ = mt.train_fgd_extractor([r.x0 for r in ref.records], **key)
-    write_checkpoint(cache, {k: p.value for k, p in ext.named().items()}, key, key["steps"])
+    write_checkpoint(cache, {k: p.value for k, p in ext.named().items()}, header, key["steps"])
     return ext, ref
 
 

@@ -10,6 +10,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .bvh import MotionClip, clip_to_features
+from .denoiser import AdamW
 from .errors import DataError, ShapeError
 
 LATENT_DIM = 32
@@ -95,8 +96,6 @@ def train_fgd_extractor(clips, seed: int, steps: int = 500, hidden: int = 64,
         dec_w2=t((hidden, frames * dim)), dec_b2=ad.tensor(np.zeros(frames * dim)),
         seed=seed, steps=steps,
     )
-    from .denoiser import AdamW  # local import to avoid a module cycle
-
     opt = AdamW(ext.named(), lr=lr, weight_decay=0.0)
     history = []
     for step in range(steps):

@@ -49,3 +49,17 @@ def mini_run(tmp_path_factory, mini_cfg, mini_corpus):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture(scope="session")
+def scan_oracle():
+    """The selective scan as a plain loop over time steps, sharing no code with `ssm`:
+    h_k = abar_k h_{k-1} + bbar_k u_k from h = 0, y_k = sum_n cmat_k h_k + d u_k."""
+    def scan(abar, bbar, cmat, d, u):
+        h = np.zeros(abar.shape[1:])
+        y = np.empty(u.shape)
+        for k in range(len(u)):
+            h = abar[k] * h + bbar[k] * u[k][:, None]
+            y[k] = (cmat[k] * h).sum(axis=1) + d * u[k]
+        return y
+    return scan

@@ -21,14 +21,14 @@ def _report(name, ok, detail=""):
 
 
 # ----------------------------------------------------------------------
-# 1. parallel scan == sequential scan
+# 1. parallel scan == sequential scan == a plain per-step loop
 
 
-def test_criterion_1_scan_equivalence():
+def test_criterion_1_scan_equivalence(scan_oracle):
     t0 = time.perf_counter()
     rng = np.random.default_rng(11)
     lengths = list(rng.integers(1, 513, size=197)) + [1, 300, 512]
-    worst = 0.0
+    worst = worst_loop = 0.0
     for L in lengths:
         L = int(L)
         C, N = 2, 3
@@ -41,10 +41,14 @@ def test_criterion_1_scan_equivalence():
         u = rng.normal(0, 1, (L, C))
         seq = ssm.selective_scan_seq(abar, bbar, cmat, d, u).value
         par = ssm.selective_scan_parallel(abar, bbar, cmat, d, u)
-        worst = max(worst, float(np.abs(seq - par).max() / max(1.0, np.abs(seq).max())))
+        loop = scan_oracle(abar, bbar, cmat, d, u)
+        denom = max(1.0, np.abs(seq).max())
+        worst = max(worst, float(np.abs(seq - par).max() / denom))
+        worst_loop = max(worst_loop, float(max(np.abs(seq - loop).max(),
+                                               np.abs(par - loop).max()) / denom))
     dt = time.perf_counter() - t0
-    _report("1 scan-equivalence", worst < 1e-9 and dt < 30.0,
-            f"(200 cases, max rel err {worst:.2e}, {dt:.1f}s)")
+    _report("1 scan-equivalence", worst < 1e-9 and worst_loop < 1e-9 and dt < 30.0,
+            f"(200 cases, max rel err {worst:.2e}, vs per-step loop {worst_loop:.2e}, {dt:.1f}s)")
 
 
 # ----------------------------------------------------------------------

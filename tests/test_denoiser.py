@@ -134,6 +134,53 @@ def test_adamw_state_roundtrip():
     assert np.array_equal(opt2.v["p"], opt.v["p"])
 
 
+def _adamw_expression_step(p, m, v, g, t, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
+    """The AdamW update written as whole-array expressions, with fresh temporaries."""
+    b1c, b2c = 1.0 - b1 ** t, 1.0 - b2 ** t
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g * g
+    update = (m / b1c) / (np.sqrt(v / b2c) + eps)
+    return p - lr * (update + wd * p), m, v
+
+
+@pytest.mark.parametrize("wd", [0.0, 0.01])
+def test_adamw_in_place_step_equals_expression_form_bit_for_bit(wd):
+    rng = np.random.default_rng(5)
+    # multi-block shapes (partial last blocks, a row wider than a block) and small ones
+    shapes = {"big": (40, 1000), "long": (dn._BLOCK + 3,), "wide": (2, dn._BLOCK + 5),
+              "mat": (7, 11), "vec": (13,), "col": (5, 1), "scalar": (), "frozen": (3,)}
+    params = {k: ad.tensor(rng.normal(0, 1, s)) for k, s in shapes.items()}
+    ref = {k: [p.value.copy(), np.zeros(s), np.zeros(s)] for (k, p), s
+           in zip(params.items(), shapes.values())}
+    opt = dn.AdamW(params, lr=0.05, weight_decay=wd)
+    for t in range(1, 6):
+        for k, p in params.items():
+            # gradients spanning many magnitudes, with a few exact zeros
+            g = rng.normal(0, 1, shapes[k]) * 10.0 ** rng.integers(-6, 4, shapes[k])
+            p.grad = None if k == "frozen" else np.where(rng.random(shapes[k]) < 0.1, 0.0, g)
+            if p.grad is not None:
+                ref[k] = list(_adamw_expression_step(*ref[k], p.grad, t, 0.05, wd))
+        opt.step()
+        for k, p in params.items():
+            for got, want in zip((p.value, opt.m[k], opt.v[k]), ref[k]):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (k, t)
+    assert not opt.m["frozen"].any() and not opt.v["frozen"].any()
+
+
+def test_adamw_step_leaves_loaded_state_untouched():
+    rng = np.random.default_rng(1)
+    p = ad.tensor(rng.normal(0, 1, (4, 3)))
+    state = {"opt.step": np.array([2.0]), "opt.m.p": rng.normal(0, 1, (4, 3)),
+             "opt.v.p": rng.uniform(0, 1, (4, 3))}
+    before = {k: a.tobytes() for k, a in state.items()}
+    opt = dn.AdamW({"p": p}, lr=0.1)
+    opt.load_state_arrays(state)
+    p.grad = rng.normal(0, 1, (4, 3))
+    opt.step()
+    assert opt.t == 3
+    assert {k: a.tobytes() for k, a in state.items()} == before
+
+
 # -- training step ------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 """Experiment harness (train/sample/eval) and the CLI surface."""
+import hashlib
 import json
 import shutil
 
@@ -215,8 +216,36 @@ def test_extractor_cache_with_a_bad_shape_line_is_retrained(tmp_path, mini_cfg):
     with pytest.raises(ParseError):
         read_checkpoint(cache)
     ext, _ = harness.get_extractor(corpus, cfg)
-    assert read_checkpoint(cache)[1] == {"seed": str(cfg["seed"]), "steps": "3", "hidden": "8"}
+    assert read_checkpoint(cache)[1] == {"seed": str(cfg["seed"]), "steps": "3", "hidden": "8",
+                                         "corpus": _x0_digest(corpus)}
     assert all(np.array_equal(ext.named()[k].value, p.value) for k, p in trained.named().items())
+
+
+def _x0_digest(corpus):
+    h = hashlib.sha256()
+    for r in synthetic.load_dataset(corpus).records:
+        h.update(np.ascontiguousarray(r.x0, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def test_extractor_cache_retrains_when_the_corpus_changes(tmp_path, mini_cfg):
+    """Another corpus copied over the reference directory is a cache miss."""
+    ref, other = tmp_path / "ref", tmp_path / "other"
+    for seed, corpus in ((3, ref), (4, other)):
+        synthetic.gen_synthetic_dataset(
+            synthetic.SyntheticSpec(n_clips=3, frames=20, joints=2, seed=seed), corpus)
+    cfg = dict(mini_cfg, **{"eval.extractor_steps": 3, "eval.extractor_hidden": 8})
+    stale, _ = harness.get_extractor(ref, cfg)
+    fresh, _ = harness.get_extractor(other, cfg)
+    for f in other.iterdir():
+        if f.name != "fgd_extractor.ckpt":
+            shutil.copy(f, ref / f.name)
+    ext, _ = harness.get_extractor(ref, cfg)
+    for k, p in ext.named().items():
+        assert np.array_equal(p.value, fresh.named()[k].value), k
+    assert not np.array_equal(ext.dec_w2.value, stale.dec_w2.value)
+    meta = read_checkpoint(ref / "fgd_extractor.ckpt")[1]
+    assert meta["corpus"] == _x0_digest(other)
 
 
 def test_ablation_variant_lists():

@@ -20,12 +20,15 @@ def random_scan_case(rng, L, C=3, N=4):
 
 
 @pytest.mark.parametrize("L", [1, 2, 7, 64, 300, 512])
-def test_parallel_matches_sequential(L, rng):
+def test_parallel_matches_sequential(L, rng, scan_oracle):
     abar, bbar, cmat, d, u = random_scan_case(rng, L)
     seq = ssm.selective_scan_seq(*(ad.tensor(v) for v in (abar, bbar, cmat, d, u))).value
     par = ssm.selective_scan_parallel(abar, bbar, cmat, d, u)
+    loop = scan_oracle(abar, bbar, cmat, d, u)
     denom = max(1.0, np.abs(seq).max())
     assert np.abs(seq - par).max() / denom < 1e-12
+    assert np.abs(seq - loop).max() / denom < 1e-12
+    assert np.abs(par - loop).max() / denom < 1e-12
 
 
 def test_parallel_rejects_mismatched_shapes(rng):
