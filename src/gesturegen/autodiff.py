@@ -2,12 +2,22 @@
 
 Every differentiable operation used by the models lives here as a small
 numpy kernel with an explicit backward function. There is no taping DSL:
-each op builds one graph node whose closure knows how to push gradients
-to its parents. `finite_diff_check` verifies any scalar-reduced op
-against central differences. `Params` names the weights of a model.
+each op builds one graph node, `Tensor(value, parents, bwd)`, whose
+closure knows how to push gradients to its parents.
+
+Inside `with no_grad():` the same ops compute the same values, but a node
+keeps neither its parents nor its closure, so the arrays a closure would
+have captured are freed as soon as the op's last reader is done. The
+forward-only paths run this way: `denoiser.predict_x0` (every reverse
+diffusion step), `metrics.FeatureExtractor.features` and the perturbed
+evaluations of `finite_diff_check`. `backward()` inside `no_grad` raises.
+
+`finite_diff_check` verifies any scalar-reduced op against central
+differences. `Params` names the weights of a model.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import fields
 
 import numpy as np
@@ -18,6 +28,8 @@ __all__ = [
     "Tensor",
     "tensor",
     "Params",
+    "no_grad",
+    "is_grad_enabled",
     "matmul",
     "concat",
     "reshape",
@@ -38,6 +50,26 @@ __all__ = [
 ]
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Build no graph inside the block; the previous mode returns on exit, also
+    after an exception, so blocks nest. The mode is process-wide."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
+def is_grad_enabled() -> bool:
+    """False inside `no_grad`."""
+    return _grad_enabled
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
     if grad.shape == shape:
@@ -56,7 +88,7 @@ class Tensor:
 
     `value` is immutable by convention after construction; `grad` is
     populated by `backward()` on the loss node. Leaf tensors (weights,
-    inputs) have no parents.
+    inputs) have no parents; under `no_grad` no tensor keeps any.
     """
 
     __slots__ = ("value", "grad", "_parents", "_bwd")
@@ -64,8 +96,10 @@ class Tensor:
     def __init__(self, value, parents=(), bwd=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
-        self._parents = parents
-        self._bwd = bwd
+        if _grad_enabled:
+            self._parents, self._bwd = parents, bwd
+        else:
+            self._parents, self._bwd = (), None
 
     @property
     def shape(self):
@@ -98,6 +132,8 @@ class Tensor:
         their sum). Grads of all reachable nodes are reset first, so
         repeated calls do not accumulate across steps.
         """
+        if not _grad_enabled:
+            raise RuntimeError("backward() inside autodiff.no_grad(): no graph was recorded")
         order = self._topo()
         for node in order:
             node.grad = np.zeros_like(node.value)
@@ -110,21 +146,17 @@ class Tensor:
 
     def __add__(self, other):
         other = _as_tensor(other)
-        out = Tensor(self.value + other.value, (self, other))
 
         def bwd(g):
             self.grad += _unbroadcast(g, self.value.shape)
             other.grad += _unbroadcast(g, other.value.shape)
 
-        out._bwd = bwd
-        return out
+        return Tensor(self.value + other.value, (self, other), bwd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Tensor(-self.value, (self,))
-        out._bwd = lambda g: self.grad.__iadd__(-g)
-        return out
+        return Tensor(-self.value, (self,), lambda g: self.grad.__iadd__(-g))
 
     def __sub__(self, other):
         return self + (-_as_tensor(other))
@@ -134,14 +166,12 @@ class Tensor:
 
     def __mul__(self, other):
         other = _as_tensor(other)
-        out = Tensor(self.value * other.value, (self, other))
 
         def bwd(g):
             self.grad += _unbroadcast(g * other.value, self.value.shape)
             other.grad += _unbroadcast(g * self.value, other.value.shape)
 
-        out._bwd = bwd
-        return out
+        return Tensor(self.value * other.value, (self, other), bwd)
 
     __rmul__ = __mul__
 
@@ -154,28 +184,31 @@ class Tensor:
         return matmul(self, other)
 
     def __getitem__(self, key):
-        out = Tensor(self.value[key], (self,))
-
         def bwd(g):
-            np.add.at(self.grad, key, g)
+            if _is_basic_key(key):  # each element is hit at most once, so += is exact
+                self.grad[key] += g
+            else:  # an advanced key may repeat an index; add.at adds every hit
+                np.add.at(self.grad, key, g)
 
-        out._bwd = bwd
-        return out
+        return Tensor(self.value[key], (self,), bwd)
 
     def sum(self, axis=None, keepdims=False):
-        out = Tensor(self.value.sum(axis=axis, keepdims=keepdims), (self,))
-
         def bwd(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             self.grad += np.broadcast_to(g, self.value.shape)
 
-        out._bwd = bwd
-        return out
+        return Tensor(self.value.sum(axis=axis, keepdims=keepdims), (self,), bwd)
 
     def mean(self, axis=None, keepdims=False):
         n = self.value.size if axis is None else self.value.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) / n
+
+
+def _is_basic_key(key) -> bool:
+    """True for a key of ints and slices, which selects each element at most once."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(isinstance(k, (int, np.integer, slice)) for k in parts)
 
 
 def _as_tensor(x) -> Tensor:
@@ -213,19 +246,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
         raise ShapeError(f"matmul shapes incompatible: {a.value.shape} x {b.value.shape}")
-    out = Tensor(a.value @ b.value, (a, b))
 
     def bwd(g):
         a.grad += g @ b.value.T
         b.grad += a.value.T @ g
 
-    out._bwd = bwd
-    return out
+    return Tensor(a.value @ b.value, (a, b), bwd)
 
 
 def concat(parts, axis=-1) -> Tensor:
     parts = [_as_tensor(p) for p in parts]
-    out = Tensor(np.concatenate([p.value for p in parts], axis=axis), tuple(parts))
     sizes = [p.value.shape[axis] for p in parts]
     splits = np.cumsum(sizes)[:-1]
 
@@ -233,22 +263,19 @@ def concat(parts, axis=-1) -> Tensor:
         for p, piece in zip(parts, np.split(g, splits, axis=axis)):
             p.grad += piece
 
-    out._bwd = bwd
-    return out
+    return Tensor(np.concatenate([p.value for p in parts], axis=axis), tuple(parts), bwd)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
     x = _as_tensor(x)
-    out = Tensor(x.value.reshape(shape), (x,))
-    out._bwd = lambda g: x.grad.__iadd__(g.reshape(x.value.shape))
-    return out
+    return Tensor(x.value.reshape(shape), (x,),
+                  lambda g: x.grad.__iadd__(g.reshape(x.value.shape)))
 
 
 def broadcast_to(x: Tensor, shape) -> Tensor:
     x = _as_tensor(x)
-    out = Tensor(np.broadcast_to(x.value, shape).copy(), (x,))
-    out._bwd = lambda g: x.grad.__iadd__(_unbroadcast(g, x.value.shape))
-    return out
+    return Tensor(np.broadcast_to(x.value, shape).copy(), (x,),
+                  lambda g: x.grad.__iadd__(_unbroadcast(g, x.value.shape)))
 
 
 # -- elementwise nonlinearities ----------------------------------------
@@ -256,46 +283,39 @@ def broadcast_to(x: Tensor, shape) -> Tensor:
 
 def exp(x: Tensor) -> Tensor:
     x = _as_tensor(x)
-    out = Tensor(np.exp(x.value), (x,))
-    out._bwd = lambda g: x.grad.__iadd__(g * out.value)
-    return out
+    e = np.exp(x.value)
+    return Tensor(e, (x,), lambda g: x.grad.__iadd__(g * e))
 
 
 def sqrt(x: Tensor) -> Tensor:
     x = _as_tensor(x)
-    out = Tensor(np.sqrt(x.value), (x,))
-    out._bwd = lambda g: x.grad.__iadd__(g * 0.5 / out.value)
-    return out
+    r = np.sqrt(x.value)
+    return Tensor(r, (x,), lambda g: x.grad.__iadd__(g * 0.5 / r))
 
 
 def sigmoid(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     s = 1.0 / (1.0 + np.exp(-x.value))
-    out = Tensor(s, (x,))
-    out._bwd = lambda g: x.grad.__iadd__(g * s * (1.0 - s))
-    return out
+    return Tensor(s, (x,), lambda g: x.grad.__iadd__(g * s * (1.0 - s)))
 
 
 def silu(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     s = 1.0 / (1.0 + np.exp(-x.value))
-    out = Tensor(x.value * s, (x,))
-    out._bwd = lambda g: x.grad.__iadd__(g * (s + x.value * s * (1.0 - s)))
-    return out
+    return Tensor(x.value * s, (x,),
+                  lambda g: x.grad.__iadd__(g * (s + x.value * s * (1.0 - s))))
 
 
 def softplus(x: Tensor) -> Tensor:
     x = _as_tensor(x)
-    out = Tensor(np.logaddexp(0.0, x.value), (x,))
-    out._bwd = lambda g: x.grad.__iadd__(g / (1.0 + np.exp(-x.value)))
-    return out
+    return Tensor(np.logaddexp(0.0, x.value), (x,),
+                  lambda g: x.grad.__iadd__(g / (1.0 + np.exp(-x.value))))
 
 
 def relu(x: Tensor) -> Tensor:
     x = _as_tensor(x)
-    out = Tensor(np.maximum(x.value, 0.0), (x,))
-    out._bwd = lambda g: x.grad.__iadd__(g * (x.value > 0.0))
-    return out
+    return Tensor(np.maximum(x.value, 0.0), (x,),
+                  lambda g: x.grad.__iadd__(g * (x.value > 0.0)))
 
 
 # -- rows/sequence primitives ------------------------------------------
@@ -306,14 +326,12 @@ def softmax(x: Tensor, axis=-1) -> Tensor:
     shifted = x.value - x.value.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(s, (x,))
 
     def bwd(g):
         inner = (g * s).sum(axis=axis, keepdims=True)
         x.grad += s * (g - inner)
 
-    out._bwd = bwd
-    return out
+    return Tensor(s, (x,), bwd)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -329,7 +347,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = Tensor(xhat * gamma.value + beta.value, (x, gamma, beta))
 
     def bwd(g):
         gxhat = g * gamma.value
@@ -339,8 +356,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
         x.grad += inv * (gxhat - m1 - xhat * m2)
 
-    out._bwd = bwd
-    return out
+    return Tensor(xhat * gamma.value + beta.value, (x, gamma, beta), bwd)
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
@@ -359,9 +375,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 
 def transpose(x: Tensor) -> Tensor:
     x = _as_tensor(x)
-    out = Tensor(x.value.T.copy(), (x,))
-    out._bwd = lambda g: x.grad.__iadd__(g.T)
-    return out
+    return Tensor(x.value.T.copy(), (x,), lambda g: x.grad.__iadd__(g.T))
 
 
 def causal_depthwise_conv(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
@@ -378,7 +392,6 @@ def causal_depthwise_conv(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     y = np.zeros_like(x.value)
     for j in range(min(w, L)):
         y[j:] += kernel.value[j] * x.value[:L - j]
-    out = Tensor(y + bias.value, (x, kernel, bias))
 
     def bwd(g):
         bias.grad += g.sum(axis=0)
@@ -386,8 +399,7 @@ def causal_depthwise_conv(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
             kernel.grad[j] += (g[j:] * x.value[:L - j]).sum(axis=0)
             x.grad[:L - j] += kernel.value[j] * g[j:]
 
-    out._bwd = bwd
-    return out
+    return Tensor(y + bias.value, (x, kernel, bias), bwd)
 
 
 # -- losses -------------------------------------------------------------
@@ -401,17 +413,15 @@ def huber_loss(diff: Tensor, delta: float = 1.0) -> Tensor:
     quad = 0.5 * d * d
     lin = delta * (absd - 0.5 * delta)
     val = np.where(absd <= delta, quad, lin).mean()
-    out = Tensor(val, (diff,))
-    out._bwd = lambda g: diff.grad.__iadd__(g * np.clip(d, -delta, delta) / d.size)
-    return out
+    return Tensor(val, (diff,),
+                  lambda g: diff.grad.__iadd__(g * np.clip(d, -delta, delta) / d.size))
 
 
 def l1_loss(diff: Tensor) -> Tensor:
     """Mean absolute value of an error tensor."""
     diff = _as_tensor(diff)
-    out = Tensor(np.abs(diff.value).mean(), (diff,))
-    out._bwd = lambda g: diff.grad.__iadd__(g * np.sign(diff.value) / diff.value.size)
-    return out
+    return Tensor(np.abs(diff.value).mean(), (diff,),
+                  lambda g: diff.grad.__iadd__(g * np.sign(diff.value) / diff.value.size))
 
 
 # -- verification -------------------------------------------------------
@@ -441,13 +451,14 @@ def finite_diff_check(op, point: np.ndarray, eps: float = 1e-5) -> float:
 
     flat = point.ravel()
     numeric = np.zeros_like(flat)
-    for i in range(flat.size):
-        p = flat.copy()
-        p[i] += eps
-        hi = scalar_at(p.reshape(point.shape))
-        p[i] -= 2 * eps
-        lo = scalar_at(p.reshape(point.shape))
-        numeric[i] = (hi - lo) / (2 * eps)
+    with no_grad():
+        for i in range(flat.size):
+            p = flat.copy()
+            p[i] += eps
+            hi = scalar_at(p.reshape(point.shape))
+            p[i] -= 2 * eps
+            lo = scalar_at(p.reshape(point.shape))
+            numeric[i] = (hi - lo) / (2 * eps)
     numeric = numeric.reshape(point.shape)
     denom = np.maximum(1.0, np.abs(numeric))
     return float(np.max(np.abs(analytic - numeric) / denom))

@@ -114,10 +114,11 @@ def build_model(spec: fu.ModelSpec, seed: int) -> GestureModel:
 
 def predict_x0(model: GestureModel, audio: np.ndarray, text: np.ndarray,
                style_id: int, emotion_id: int, x_t: np.ndarray, t: int) -> np.ndarray:
-    """Inference path: encode conditions, fuse, denoise. No masking."""
-    bundle = fu.encode_conditions(model.fusion, audio, text, style_id, emotion_id, x_t, t)
-    out = fu.fusion_forward(model.fusion, bundle)
-    return denoiser_forward(model.denoiser, out.f_fuse).value
+    """Inference path: encode conditions, fuse, denoise, all under `ad.no_grad`. No masking."""
+    with ad.no_grad():
+        bundle = fu.encode_conditions(model.fusion, audio, text, style_id, emotion_id, x_t, t)
+        out = fu.fusion_forward(model.fusion, bundle)
+        return denoiser_forward(model.denoiser, out.f_fuse).value
 
 
 # -- optimizer ----------------------------------------------------------

@@ -59,9 +59,10 @@ class FeatureExtractor(ad.Params):
         return ad.reshape(flat, (self.frames, self.dim))
 
     def features(self, clips) -> np.ndarray:
-        """Latent feature matrix (n_clips x LATENT_DIM) for a corpus."""
+        """Latent feature matrix (n_clips x LATENT_DIM) for a corpus, under `ad.no_grad`."""
         mats = _corpus_features(clips, self.frames, self.dim)
-        return np.stack([self.encode(m).value for m in mats])
+        with ad.no_grad():
+            return np.stack([self.encode(m).value for m in mats])
 
 
 def _corpus_features(clips, frames=None, dim=None):

@@ -84,7 +84,6 @@ def selective_scan_seq(abar: Tensor, bbar: Tensor, cmat: Tensor, d: Tensor, u: T
     d, u = ad._as_tensor(d), ad._as_tensor(u)
     h = _scan_states(abar.value, bbar.value, cmat.value, u.value)
     y = (cmat.value * h).sum(axis=2) + d.value * u.value
-    out = Tensor(y, (abar, bbar, cmat, d, u))
 
     def bwd(g):
         cmat.grad += g[:, :, None] * h
@@ -95,8 +94,7 @@ def selective_scan_seq(abar: Tensor, bbar: Tensor, cmat: Tensor, d: Tensor, u: T
         bbar.grad += lam * u.value[:, :, None]
         u.grad += (bbar.value * lam).sum(axis=2) + d.value * g
 
-    out._bwd = bwd
-    return out
+    return Tensor(y, (abar, bbar, cmat, d, u), bwd)
 
 
 def selective_scan_parallel(abar: np.ndarray, bbar: np.ndarray, cmat: np.ndarray,
@@ -129,13 +127,12 @@ def selective_scan_fused(delta: Tensor, b_proj: Tensor, c_proj: Tensor,
         raise ShapeError(f"fused scan projections must be L x N, got "
                          f"{b_proj.value.shape} / {c_proj.value.shape}")
 
-    # abar and h are the only L x C x N arrays kept for the backward
+    # abar and h are the only L x C x N arrays kept for the backward (none under no_grad)
     abar = delta.value[:, :, None] * a.value
     np.exp(abar, out=abar)
     h = (delta.value * u.value)[:, :, None] * b_proj.value[:, None, :]
     _linear_recurrence(abar[1:], h)
     y = np.matmul(h, c_proj.value[:, :, None])[:, :, 0] + d_skip.value * u.value
-    out = Tensor(y, (delta, b_proj, c_proj, a, d_skip, u))
 
     def bwd(g):
         c_proj.grad += np.matmul(g[:, None, :], h)[:, 0]
@@ -156,8 +153,7 @@ def selective_scan_fused(delta: Tensor, b_proj: Tensor, c_proj: Tensor,
         a.grad += np.einsum("lcn,lc->cn", g_da, delta.value[1:])
         u.grad += lam_b * delta.value + d_skip.value * g
 
-    out._bwd = bwd
-    return out
+    return Tensor(y, (delta, b_proj, c_proj, a, d_skip, u), bwd)
 
 
 def ssm_impulse_kernel(ssm: ContinuousSsm, delta: float, length: int) -> np.ndarray:

@@ -6,7 +6,7 @@ training run) are built once and reused across test modules.
 import numpy as np
 import pytest
 
-from gesturegen import config, harness, synthetic
+from gesturegen import autodiff as ad, config, harness, synthetic
 
 
 @pytest.fixture(scope="session")
@@ -44,6 +44,16 @@ def mini_run(tmp_path_factory, mini_cfg, mini_corpus):
     """A short training run on the mini corpus; returns run_train's result."""
     out = tmp_path_factory.mktemp("mini") / "run"
     return harness.run_train(mini_cfg, mini_corpus, out)
+
+
+@pytest.fixture(autouse=True)
+def grad_mode_left_on():
+    """Fail a test that leaves autodiff's grad mode off: a leaked `no_grad` would build no
+    graph in any later test, so training there would silently stop."""
+    yield
+    if not ad.is_grad_enabled():
+        ad._grad_enabled = True  # so the leak does not spread to later tests
+        pytest.fail("autodiff grad mode was left off (a no_grad block did not exit)")
 
 
 @pytest.fixture()

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from gesturegen import autodiff as ad
+from gesturegen import autodiff as ad, ssm
 from gesturegen.errors import NumericalError, ShapeError
 
 
@@ -163,3 +163,84 @@ def test_concat_gradient_split(rng):
 def test_tensor_division_by_tensor_rejected():
     with pytest.raises(TypeError):
         ad.tensor([1.0]) / ad.tensor([2.0])
+
+
+@pytest.mark.parametrize("key", [(slice(None), slice(None, 3)), (2, slice(None)), (slice(None), -1),
+                                 slice(1, None, 2), np.int64(3), (1, 2)])
+def test_getitem_basic_key_gradient_bytes_equal_add_at(key, rng):
+    assert ad._is_basic_key(key)
+    x = ad.tensor(rng.normal(0, 1, (5, 4)))
+    u = rng.normal(0, 1, (5, 4))
+    w = rng.normal(0, 1, x.value[key].shape)
+    ((x * u).sum() + (x[key] * w).sum()).backward()  # the slice adds into a written gradient
+    want = u.copy()
+    np.add.at(want, key, w)
+    assert x.grad.tobytes() == want.tobytes()
+
+
+def test_getitem_repeated_fancy_index_accumulates(rng):
+    key = ([0, 2, 0, 0], slice(None))
+    assert not ad._is_basic_key(key) and not ad._is_basic_key([1, 1])
+    x = ad.tensor(rng.normal(0, 1, (3, 2)))
+    w = rng.normal(0, 1, (4, 2))
+    (x[key] * w).sum().backward()
+    assert np.array_equal(x.grad[0], w[0] + w[2] + w[3])
+    assert np.array_equal(x.grad[1], np.zeros(2))
+    assert np.array_equal(x.grad[2], w[1])
+
+
+def test_no_grad_nodes_keep_no_parents_or_closure(rng):
+    x = ad.tensor(rng.normal(0, 1, (6, 4)))
+    gamma, beta = ad.tensor(np.ones(4)), ad.tensor(np.zeros(4))
+    L, C, N = 6, 4, 3
+    scan_args = [ad.tensor(rng.normal(0, 0.5, s)) for s in ((L, C), (L, N), (L, N))]
+    a, d = ad.tensor(-np.exp(rng.normal(0, 0.3, (C, N)))), ad.tensor(np.ones(C))
+    ops = [lambda: ad.exp(x) * x + x, lambda: x[1:, :2], lambda: x[[0, 0]],
+           lambda: ad.layer_norm(x, gamma, beta), lambda: ad.softmax(x),
+           lambda: ad.matmul(x, ad.transpose(x)).sum(),
+           lambda: ssm.selective_scan_fused(ad.softplus(scan_args[0]), *scan_args[1:], a, d, x)]
+    for op in ops:
+        with_graph = op()
+        assert with_graph._parents and with_graph._bwd is not None
+        with ad.no_grad():
+            bare = op()
+        assert bare._parents == () and bare._bwd is None
+        assert bare.value.tobytes() == with_graph.value.tobytes()
+
+
+def test_no_grad_restores_the_mode_after_nesting_and_exceptions():
+    assert ad.is_grad_enabled()
+    with ad.no_grad():
+        with ad.no_grad():
+            assert not ad.is_grad_enabled()
+        assert not ad.is_grad_enabled()  # the inner block restores "off", not "on"
+    assert ad.is_grad_enabled()
+    with pytest.raises(KeyError):
+        with ad.no_grad():
+            raise KeyError("inside")
+    assert ad.is_grad_enabled()
+    with ad.no_grad():
+        with pytest.raises(KeyError):
+            with ad.no_grad():
+                raise KeyError("nested")
+        assert not ad.is_grad_enabled()
+    assert ad.is_grad_enabled()
+
+
+def test_finite_diff_check_passes_after_no_grad(rng):
+    op = lambda x: ad.layer_norm(x * x, ad.tensor(np.ones(3)), ad.tensor(np.zeros(3)))
+    pt = rng.normal(0, 1, (4, 3))
+    with ad.no_grad():
+        op(ad.tensor(pt))
+    assert ad.finite_diff_check(op, pt) < 1e-6
+
+
+def test_backward_inside_no_grad_raises(rng):
+    w = ad.tensor(rng.normal(0, 1, (3, 3)))
+    loss = (w * w).sum()  # built with a graph, so a silent no-op would be possible
+    with ad.no_grad():
+        with pytest.raises(RuntimeError, match="no_grad"):
+            loss.backward()
+    assert w.grad is None
+    loss.backward()
+    assert np.array_equal(w.grad, 2.0 * w.value)

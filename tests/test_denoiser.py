@@ -253,3 +253,19 @@ def test_predict_x0_shape(rng):
                            0, 1, rng.normal(0, 1, (6, 5)), 3)
     assert x0_hat.shape == (6, 5)
     assert isinstance(x0_hat, np.ndarray)
+
+
+def test_predict_x0_without_graph_equals_grad_mode_forward_bit_for_bit(rng, monkeypatch):
+    model = make_tiny_model()
+    audio, text = rng.normal(0, 1, (6, 4)), rng.normal(0, 1, (6, 3))
+    x_t = rng.normal(0, 1, (6, 5))
+    bundle = fu.encode_conditions(model.fusion, audio, text, 1, 2, x_t, 3)
+    f_fuse = fu.fusion_forward(model.fusion, bundle).f_fuse
+    graph = dn.denoiser_forward(model.denoiser, f_fuse)
+    assert graph._parents  # the reference was built with a graph
+    modes, forward = [], dn.denoiser_forward
+    monkeypatch.setattr(dn, "denoiser_forward",
+                        lambda *a: modes.append(ad.is_grad_enabled()) or forward(*a))
+    got = dn.predict_x0(model, audio, text, 1, 2, x_t, 3)
+    assert modes == [False]
+    assert got.tobytes() == graph.value.tobytes()

@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from gesturegen import cli, harness, synthetic
+from gesturegen import cli, harness, metrics as mt, synthetic
 from gesturegen.errors import DataError, ParseError
 from gesturegen.fileio import read_checkpoint, write_checkpoint
 
@@ -138,11 +138,21 @@ def test_run_eval_fixed_point(tmp_path, mini_cfg, mini_corpus):
     assert (tmp_path / "e" / "report.txt").is_file()
 
 
-def test_eval_uses_cached_extractor(mini_corpus, mini_cfg):
-    assert (mini_corpus / "fgd_extractor.ckpt").is_file()
-    ext1, _ = harness.get_extractor(mini_corpus, mini_cfg)
-    ext2, _ = harness.get_extractor(mini_corpus, mini_cfg)
-    assert np.array_equal(ext1.enc_w1.value, ext2.enc_w1.value)
+def test_eval_uses_cached_extractor(tmp_path, mini_cfg, monkeypatch):
+    corpus = tmp_path / "data"
+    synthetic.gen_synthetic_dataset(synthetic.SyntheticSpec.from_config(mini_cfg), corpus)
+    ext1, _ = harness.get_extractor(corpus, mini_cfg)
+    assert (corpus / "fgd_extractor.ckpt").is_file()
+
+    def retrain(*args, **kwargs):
+        raise AssertionError("the cached extractor was retrained")
+
+    monkeypatch.setattr(mt, "train_fgd_extractor", retrain)
+    ext2, _ = harness.get_extractor(corpus, mini_cfg)
+    first, second = ext1.named(), ext2.named()
+    assert list(first) == list(second)
+    for name, p in first.items():
+        assert p.value.tobytes() == second[name].value.tobytes(), name
 
 
 def test_extractor_cache_retrains_on_config_change(tmp_path, mini_cfg):

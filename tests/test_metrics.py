@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from gesturegen import bvh, metrics as mt
+from gesturegen import autodiff as ad, bvh, metrics as mt
 from gesturegen.errors import DataError
 from gesturegen.synthetic import chain_skeleton
 
@@ -165,6 +165,19 @@ def test_extractor_training_reduces_loss(rng):
     assert np.mean(history[-10:]) < 0.85 * np.mean(history[:10])
     feats = ext.features(clips)
     assert feats.shape == (4, mt.LATENT_DIM)
+
+
+def test_extractor_features_without_graph_equal_grad_mode_encode(rng, monkeypatch):
+    clips = [_clip(rng.normal(0, 1, (6, 2, 3))) for _ in range(3)]
+    ext, _ = mt.train_fgd_extractor(clips, seed=1, steps=3, hidden=8)
+    encoded = [ext.encode(bvh.clip_to_features(c)) for c in clips]
+    assert all(e._parents for e in encoded)
+    modes, encode = [], mt.FeatureExtractor.encode
+    monkeypatch.setattr(mt.FeatureExtractor, "encode",
+                        lambda self, m: modes.append(ad.is_grad_enabled()) or encode(self, m))
+    feats = ext.features(clips)
+    assert modes == [False] * 3
+    assert feats.tobytes() == np.stack([e.value for e in encoded]).tobytes()
 
 
 def test_extractor_deterministic(rng):
