@@ -111,8 +111,8 @@ def _rotation_order(channels) -> str:
 def parse_bvh(text: str):
     """Parse a complete BVH document into (Skeleton, MotionClip).
 
-    Every joint must carry exactly 3 rotation channels; the root may add
-    3 position channels. The clip comes back tagged euler-degrees.
+    Every joint must carry exactly 3 rotation channels, one per axis; the
+    root may add 3 position channels. The clip comes back tagged euler-degrees.
     """
     lines = text.replace("\r\n", "\n").split("\n")
     toks = [(i + 1, line.split()) for i, line in enumerate(lines) if line.split()]
@@ -162,6 +162,8 @@ def parse_bvh(text: str):
         n_pos = n - n_rot
         if n_rot != 3:
             raise ParseError(f"joint {name!r} must have exactly 3 rotation channels", line=ln)
+        if len(set(_rotation_order(channels))) != 3:
+            raise ParseError(f"joint {name!r} repeats a rotation axis", line=ln)
         if n_pos not in (0, 3) or (n_pos == 3 and parent is not None):
             raise ParseError(f"position channels only allowed on the root (joint {name!r})", line=ln)
         idx = len(joints)

@@ -51,6 +51,9 @@ DEFAULTS = {
     "eval.extractor_hidden": 64,
 }
 
+# The least value of each key that a run can use; below it a run crashes or silently does less.
+MINIMUMS = {"train.steps": 1, "train.batch": 1, "sample.max_conditions": 0, "eval.n_diversity": 2}
+
 # The paper-scale preset documents the reference hyperparameters; it is
 # far too heavy for the bundled synthetic corpus and exists for
 # completeness, not for the test suite.
@@ -85,7 +88,7 @@ def _coerce(key: str, raw):
 
 
 def load_config(path=None, preset: str = "toy", overrides: dict | None = None) -> dict:
-    """Defaults -> preset -> config file -> explicit overrides."""
+    """Defaults -> preset -> config file -> explicit overrides, then the range checks."""
     if preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
     cfg = dict(DEFAULTS)
@@ -102,4 +105,9 @@ def load_config(path=None, preset: str = "toy", overrides: dict | None = None) -
             if key not in DEFAULTS:
                 raise ConfigError(f"unknown config key {key!r}")
             cfg[key] = _coerce(key, raw)
+    for key, least in MINIMUMS.items():
+        if cfg[key] < least:
+            raise ConfigError(f"{key} must be at least {least}, got {cfg[key]}")
+    if cfg["eval.sigma"] <= 0:
+        raise ConfigError(f"eval.sigma must be positive, got {cfg['eval.sigma']}")
     return cfg

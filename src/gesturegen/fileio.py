@@ -42,7 +42,10 @@ def read_features(path):
             rows, cols = (int(x) for x in f.readline().split())
         except ValueError:
             raise ParseError(f"{path}: bad shape line", line=2)
-        modality = f.readline().strip().decode()
+        try:
+            modality = f.readline().strip().decode()
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: modality line is not UTF-8", line=3)
         payload = f.read()
     expected = rows * cols * 4
     if len(payload) != expected:

@@ -264,7 +264,8 @@ def style_emotion_losses(da: DisentangledAudio, f_s: Tensor, f_e: Tensor):
 
 
 def fusion_forward(weights: FusionWeights, bundle: ConditionBundle) -> FusionOutput:
-    """Run the configured fusion rung over an encoded bundle."""
+    """Run the configured fusion rung over an encoded bundle. Slots whose widths do not
+    sum to `spec.concat_width` fail the `local_w` matmul with a ShapeError."""
     mode = weights.spec.mode
     frames = bundle.frames
     if bundle.f_s is None:
@@ -292,9 +293,5 @@ def fusion_forward(weights: FusionWeights, bundle: ConditionBundle) -> FusionOut
     if emotion_slot is not None:
         parts.append(emotion_slot)
     parts += [bundle.f_g, _rows(bundle.f_t, frames)]
-    cat = ad.concat(parts, axis=1)
-    if cat.value.shape[1] != weights.spec.concat_width:
-        raise ShapeError(f"concatenated width {cat.value.shape[1]} does not match "
-                         f"configured {weights.spec.concat_width}")
-    out.f_fuse = cross_local_attention(weights, cat)
+    out.f_fuse = cross_local_attention(weights, ad.concat(parts, axis=1))
     return out

@@ -17,7 +17,7 @@ from .bvh import clip_to_euler, clip_to_features, features_to_clip, read_bvh, wr
 from .config import DEFAULTS, load_config
 from .diffusion import build_schedule, sample_loop
 from .errors import ConfigError, DataError, GestureGenError, NumericalError, ParseError
-from .fileio import (read_checkpoint, read_float_lines, write_checkpoint, write_report)
+from .fileio import read_checkpoint, write_checkpoint, write_report
 from .synthetic import Dataset, load_dataset
 
 LOSS_HEADER = ["step", "l_total", "l_g", "l_s", "l_e"]
@@ -25,12 +25,12 @@ WIDTH_KEYS = ("data.gesture_dim", "data.d_audio", "data.d_text", "data.n_styles"
 
 
 def _corpus_widths(dataset: Dataset):
-    """(gesture, audio, text, styles, emotions) widths of a corpus, as in `WIDTH_KEYS`."""
-    return (dataset.gesture_dim,
-            int(dataset.meta.get("d_audio", dataset.records[0].audio.shape[1])),
-            int(dataset.meta.get("d_text", dataset.records[0].text.shape[1])),
-            int(dataset.meta.get("n_styles", max(r.style_id for r in dataset.records) + 1)),
-            int(dataset.meta.get("n_emotions", 8)))
+    """(gesture, audio, text, styles, emotions) widths of a corpus, as in `WIDTH_KEYS`;
+    the feature widths are those of the clips' arrays, whatever the meta says."""
+    first = dataset.records[0]
+    return (dataset.gesture_dim, first.audio.shape[1], first.text.shape[1],
+            dataset.meta.get("n_styles", max(r.style_id for r in dataset.records) + 1),
+            dataset.meta.get("n_emotions", 8))
 
 
 def _model_spec(cfg: dict, widths) -> fu.ModelSpec:
@@ -51,9 +51,6 @@ def run_train(cfg: dict, dataset_dir, out_dir) -> dict:
     On a non-finite loss the last good checkpoint is kept and the error
     re-raised.
     """
-    for key in ("train.steps", "train.batch"):
-        if cfg[key] < 1:
-            raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dataset = load_dataset(dataset_dir)
@@ -172,7 +169,7 @@ def get_extractor(ref_dataset_dir, cfg: dict):
         meta = None
     if meta == {k: str(v) for k, v in header.items()}:
         weights = {k: ad.tensor(v) for k, v in arrays.items()}
-        return mt.FeatureExtractor(*ref.records[0].x0.shape, **key, **weights), ref
+        return mt.FeatureExtractor(*ref.records[0].x0.shape, hidden=key["hidden"], **weights), ref
     ext, _ = mt.train_fgd_extractor([r.x0 for r in ref.records], **key)
     write_checkpoint(cache, {k: p.value for k, p in ext.named().items()}, header, key["steps"])
     return ext, ref
@@ -202,10 +199,9 @@ def run_eval(gen_dir, ref_dir, cfg: dict, out_dir=None) -> dict:
     aligns, srgrs = [], []
     for i, ((name, clip), mat) in enumerate(zip(gen, gen_mats)):
         rec = by_name.get(name.split(".")[0], ref.records[i % len(ref.records)])
-        onsets = rec.onsets
-        if onsets.size == 0:
-            onsets = read_float_lines(Path(ref_dir) / f"{rec.name}.onsets")
-        aligns.append(mt.beat_align(onsets, mt.detect_gesture_beats(clip),
+        if rec.onsets.size == 0:
+            raise DataError(f"reference clip {rec.name} has no onsets in {ref_dir}")
+        aligns.append(mt.beat_align(rec.onsets, mt.detect_gesture_beats(clip),
                                     sigma=cfg["eval.sigma"]))
         if clip.rotations.shape == rec.clip.rotations.shape:
             # threshold lives in rotation-matrix element space

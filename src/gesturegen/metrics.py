@@ -35,8 +35,6 @@ class FeatureExtractor(ad.Params):
     dec_b1: Tensor
     dec_w2: Tensor  # hidden x (frames*dim)
     dec_b2: Tensor
-    seed: int = 0
-    steps: int = 0
 
     def _stack3(self, x: Tensor) -> Tensor:
         # frame t sees frames t-1, t, t+1 (edge frames repeated)
@@ -95,7 +93,6 @@ def train_fgd_extractor(clips, seed: int, steps: int = 500, hidden: int = 64,
         enc_w2=t((hidden, LATENT_DIM)), enc_b2=ad.tensor(np.zeros(LATENT_DIM)),
         dec_w1=t((LATENT_DIM, hidden)), dec_b1=ad.tensor(np.zeros(hidden)),
         dec_w2=t((hidden, frames * dim)), dec_b2=ad.tensor(np.zeros(frames * dim)),
-        seed=seed, steps=steps,
     )
     opt = AdamW(ext.named(), lr=lr, weight_decay=0.0)
     history = []

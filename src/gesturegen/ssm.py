@@ -1,10 +1,10 @@
 """Selective state-space sequence modeling.
 
 Continuous diagonal SSM, its discretization, the input-dependent scan in
-sequential and fused (both differentiable) and forward-only numpy forms,
-and the gated Mamba block that wires them together. All three scans
-share one linear recurrence: forward for the states, and over the
-reversed sequence for the adjoint.
+sequential and fused forms (both differentiable; the forward-only numpy
+form is the sequential one under `autodiff.no_grad`), and the gated Mamba
+block that wires them together. Both scans share one linear recurrence:
+forward for the states, and over the reversed sequence for the adjoint.
 """
 from __future__ import annotations
 
@@ -60,18 +60,6 @@ def _linear_recurrence(a: np.ndarray, h: np.ndarray) -> None:
         h[k + 1] += np.multiply(a[k], h[k], out=row)
 
 
-def _scan_states(abar: np.ndarray, bbar: np.ndarray, cmat: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Check the per-step scan shapes and return the states h (L x C x N)."""
-    L, C = u.shape
-    if abar.shape != bbar.shape or abar.shape != cmat.shape:
-        raise ShapeError("scan parameter shapes differ")
-    if abar.shape[:2] != (L, C):
-        raise ShapeError(f"scan params {abar.shape} do not match input {u.shape}")
-    h = bbar * u[:, :, None]
-    _linear_recurrence(abar[1:], h)
-    return h
-
-
 def selective_scan_seq(abar: Tensor, bbar: Tensor, cmat: Tensor, d: Tensor, u: Tensor) -> Tensor:
     """Differentiable sequential scan of the per-step recurrence.
 
@@ -82,7 +70,13 @@ def selective_scan_seq(abar: Tensor, bbar: Tensor, cmat: Tensor, d: Tensor, u: T
     """
     abar, bbar, cmat = ad._as_tensor(abar), ad._as_tensor(bbar), ad._as_tensor(cmat)
     d, u = ad._as_tensor(d), ad._as_tensor(u)
-    h = _scan_states(abar.value, bbar.value, cmat.value, u.value)
+    L, C = u.value.shape
+    if abar.value.shape != bbar.value.shape or abar.value.shape != cmat.value.shape:
+        raise ShapeError("scan parameter shapes differ")
+    if abar.value.shape[:2] != (L, C):
+        raise ShapeError(f"scan params {abar.value.shape} do not match input {u.value.shape}")
+    h = bbar.value * u.value[:, :, None]
+    _linear_recurrence(abar.value[1:], h)
     y = (cmat.value * h).sum(axis=2) + d.value * u.value
 
     def bwd(g):
@@ -99,10 +93,10 @@ def selective_scan_seq(abar: Tensor, bbar: Tensor, cmat: Tensor, d: Tensor, u: T
 
 def selective_scan_parallel(abar: np.ndarray, bbar: np.ndarray, cmat: np.ndarray,
                             d: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Forward-only `selective_scan_seq` (numpy in, numpy out), same shapes and checks:
-    the shared linear recurrence and one reduction over the state axis."""
-    abar, bbar, cmat, d, u = (np.asarray(v, dtype=np.float64) for v in (abar, bbar, cmat, d, u))
-    return (cmat * _scan_states(abar, bbar, cmat, u)).sum(axis=2) + d * u
+    """Forward-only `selective_scan_seq` (numpy in, numpy out): the same scan under
+    `ad.no_grad`, so the same shapes, checks and bits."""
+    with ad.no_grad():
+        return selective_scan_seq(abar, bbar, cmat, d, u).value
 
 
 def selective_scan_fused(delta: Tensor, b_proj: Tensor, c_proj: Tensor,

@@ -10,14 +10,14 @@ beat-alignment metric.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .bvh import (BvhJoint, JointLayout, MotionClip, Skeleton, clip_to_features,
                   read_bvh, write_bvh)
-from .errors import DataError
+from .errors import DataError, ParseError
 from .fileio import (read_features, read_float_lines, read_key_values, write_features,
                      write_float_lines, write_key_values)
 from .metrics import detect_gesture_beats
@@ -44,10 +44,8 @@ class SyntheticSpec:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "SyntheticSpec":
-        return cls(n_clips=cfg["synthetic.n_clips"], frames=cfg["synthetic.frames"],
-                   joints=cfg["synthetic.joints"], n_styles=cfg["synthetic.n_styles"],
-                   n_emotions=cfg["synthetic.n_emotions"], d_audio=cfg["synthetic.d_audio"],
-                   d_text=cfg["synthetic.d_text"], fps=cfg["synthetic.fps"], seed=cfg["seed"])
+        return cls(**{k.split(".")[1]: cfg[k] for k in cfg if k.startswith("synthetic.")},
+                   seed=cfg["seed"])
 
 
 def chain_skeleton(joints: int) -> Skeleton:
@@ -125,12 +123,7 @@ def gen_synthetic_dataset(spec: SyntheticSpec, out_dir) -> list:
         write_float_lines(out / f"{name}.onsets", detect_gesture_beats(clip))
         names.append(name)
 
-    write_key_values(out / "dataset.meta", {
-        "n_clips": spec.n_clips, "frames": spec.frames, "joints": spec.joints,
-        "n_styles": spec.n_styles, "n_emotions": spec.n_emotions,
-        "d_audio": spec.d_audio, "d_text": spec.d_text,
-        "fps": spec.fps, "seed": spec.seed,
-    })
+    write_key_values(out / "dataset.meta", asdict(spec))
     return names
 
 
@@ -151,7 +144,7 @@ class Dataset:
     records: list
     skeleton: Skeleton
     layout: JointLayout
-    meta: dict
+    meta: dict  # dataset.meta's strings, with n_styles and n_emotions as ints
 
     @property
     def gesture_dim(self) -> int:
@@ -166,6 +159,14 @@ class Dataset:
         return self.records[0].clip.fps
 
 
+def _int_entries(path, entries: dict, keys) -> dict:
+    """`entries[k]` as an int for each of `keys`, or a ParseError that names `path`."""
+    try:
+        return {k: int(entries[k]) for k in keys}
+    except (KeyError, ValueError):
+        raise ParseError(f"{path}: needs integer {', '.join(keys)}; got {entries}") from None
+
+
 def load_dataset(directory) -> Dataset:
     """Read a corpus produced by `gen_synthetic_dataset` (or matching it)."""
     directory = Path(directory)
@@ -176,6 +177,7 @@ def load_dataset(directory) -> Dataset:
     meta_path = directory / "dataset.meta"
     if meta_path.is_file():
         meta = read_key_values(meta_path)
+        meta |= _int_entries(meta_path, meta, [k for k in ("n_styles", "n_emotions") if k in meta])
 
     records = []
     skeleton = layout = None
@@ -186,14 +188,15 @@ def load_dataset(directory) -> Dataset:
             skeleton, layout = skel, clip.layout
         audio, _ = read_features(directory / f"{name}.audio.feat")
         text, _ = read_features(directory / f"{name}.text.feat")
-        labels = read_key_values(directory / f"{name}.labels")
+        label_path = directory / f"{name}.labels"
+        labels = _int_entries(label_path, read_key_values(label_path), ("style", "emotion"))
         onset_path = directory / f"{name}.onsets"
         onsets = np.array([])
         if onset_path.is_file():
             onsets = read_float_lines(onset_path)
         records.append(ClipRecord(
             name=name, clip=clip, x0=clip_to_features(clip), audio=audio, text=text,
-            style_id=int(labels["style"]), emotion_id=int(labels["emotion"]),
+            style_id=labels["style"], emotion_id=labels["emotion"],
             onsets=onsets))
     shapes = {r.x0.shape for r in records}
     if len(shapes) != 1:

@@ -9,6 +9,14 @@ import pytest
 from gesturegen import autodiff as ad, config, harness, synthetic
 
 
+def pytest_collection_modifyitems(items):
+    """Mark `slow` the tests that use the full-pipeline fixtures `overfit_runs` and
+    `ablation_runs` (minutes each): `pytest -m "not slow"` is the quick loop."""
+    for item in items:
+        if {"overfit_runs", "ablation_runs"} & set(getattr(item, "fixturenames", ())):
+            item.add_marker(pytest.mark.slow)
+
+
 @pytest.fixture(scope="session")
 def toy_cfg():
     return config.load_config(None, preset="toy")

@@ -1,4 +1,6 @@
 """Condition encoding and the four-rung fusion ladder."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,17 @@ def test_encode_conditions_shapes(rng):
         fu.encode_conditions(w, audio, text, 5, 2, x_t, 0)
     with pytest.raises(ShapeError):
         fu.encode_conditions(w, audio[:, :3], text, 0, 0, x_t, 0)
+
+
+@pytest.mark.parametrize("mode", fu.FUSION_MODES)
+@pytest.mark.parametrize("slot", ["f_text", "f_g"])
+def test_fusion_forward_rejects_a_bundle_of_the_wrong_width(rng, mode, slot):
+    w = make_weights(mode)
+    audio, text, x_t = make_inputs(w.spec, rng)
+    bundle = fu.encode_conditions(w, audio, text, 1, 2, x_t, 5)
+    wide = np.hstack([getattr(bundle, slot).value, np.zeros((6, 1))])
+    with pytest.raises(ShapeError):
+        fu.fusion_forward(w, replace(bundle, **{slot: ad.tensor(wide)}))
 
 
 def test_disentangle_is_bias_free(rng):

@@ -375,6 +375,72 @@ def test_cli_exit_codes(tmp_path, mini_corpus, capsys):
     assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
     assert str(bad_ref / "clip_0002.bvh") in capsys.readouterr().err
 
+    # 2, before any work: values a run would crash on or silently misuse
+    gen_cfg = (f"data.dir = {mini_corpus}\ndata.gen_dir = {mini_corpus}\n"
+               "eval.extractor_steps = 30\n")
+    ckpt_cfg = f"data.dir = {mini_corpus}\ndata.checkpoint = {tmp_path / 'none.ckpt'}\n"
+    for command, base, line in [("eval", gen_cfg, "eval.sigma = 0"),
+                                ("eval", gen_cfg, "eval.sigma = -0.1"),
+                                ("eval", gen_cfg, "eval.n_diversity = 0"),
+                                ("eval", gen_cfg, "eval.n_diversity = 1"),
+                                ("sample", ckpt_cfg, "sample.max_conditions = -1")]:
+        cfg.write_text(base + line + "\n")
+        out = tmp_path / "never"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2, line
+        assert capsys.readouterr().err.startswith(f"config error: {line.split()[0]} must be")
+        assert not out.exists(), line
+
+
+def _corpus_copy(tmp_path, mini_corpus, name):
+    copy = tmp_path / name
+    shutil.copytree(mini_corpus, copy)
+    (copy / "fgd_extractor.ckpt").unlink(missing_ok=True)
+    return copy
+
+
+@pytest.mark.parametrize("file, edit", [
+    ("clip_0001.labels", lambda b: b.replace(b"style=", b"stile=")),
+    ("clip_0001.labels", lambda b: b.replace(b"emotion=0\n", b"")),
+    ("clip_0001.labels", lambda b: b.replace(b"style=1", b"style=1.5")),
+    ("dataset.meta", lambda b: b.replace(b"n_styles=4", b"n_styles=four")),
+    ("dataset.meta", lambda b: b.replace(b"n_emotions=8", b"n_emotions=8.0")),
+    ("clip_0001.audio.feat", lambda b: b.replace(b"\naudio\n", b"\n\xff\xfe\n", 1)),
+], ids=["labels-no-style", "labels-no-emotion", "labels-float", "meta-word", "meta-float",
+        "feat-not-utf8"])
+def test_cli_rejects_corrupt_side_file(tmp_path, mini_corpus, capsys, file, edit):
+    corpus = _corpus_copy(tmp_path, mini_corpus, "corrupt")
+    path = corpus / file
+    before = path.read_bytes()
+    path.write_bytes(edit(before))
+    assert path.read_bytes() != before
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"data.dir = {corpus}\ntrain.steps = 1\n")
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and str(path) in err
+
+
+def test_cli_train_takes_feature_widths_from_the_files(tmp_path, mini_corpus):
+    corpus = _corpus_copy(tmp_path, mini_corpus, "stale_meta")
+    meta = corpus / "dataset.meta"
+    meta.write_text(meta.read_text().replace("d_audio=24", "d_audio=20"))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"data.dir = {corpus}\ntrain.steps = 1\nmodel.d = 32\nmodel.layers = 1\n")
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    _, header, _ = read_checkpoint(tmp_path / "o" / "model.ckpt")
+    assert header["data.d_audio"] == "24"
+
+
+def test_cli_eval_names_a_reference_clip_without_onsets(tmp_path, mini_corpus, capsys):
+    ref = _corpus_copy(tmp_path, mini_corpus, "ref")
+    (ref / "clip_0000.onsets").unlink()
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"data.dir = {ref}\ndata.gen_dir = {mini_corpus}\n"
+                   "eval.extractor_steps = 5\n")
+    assert cli.main(["eval", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and "clip_0000" in err
+
 
 def test_cli_sample_rejects_corrupt_checkpoint(tmp_path, mini_run, mini_corpus, capsys):
     ckpt = tmp_path / "model.ckpt"

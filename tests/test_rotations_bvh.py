@@ -188,6 +188,16 @@ def test_parse_errors_carry_line_numbers():
         bvh.parse_bvh(broken)
 
 
+def test_parse_rejects_repeated_rotation_axis():
+    skel, clip = _random_clip(np.random.default_rng(0), 2, 3)
+    lines = bvh.write_bvh(skel, clip).splitlines()
+    at = [i for i, l in enumerate(lines) if "CHANNELS" in l][1]
+    lines[at] = lines[at].split("CHANNELS")[0] + "CHANNELS 3 Xrotation Xrotation Yrotation"
+    with pytest.raises(ParseError, match="repeats a rotation axis") as e:
+        bvh.parse_bvh("\n".join(lines) + "\n")
+    assert e.value.line == at + 1
+
+
 def test_parse_frame_count_mismatch():
     skel, clip = _random_clip(np.random.default_rng(0), 2, 4)
     text = bvh.write_bvh(skel, clip)
