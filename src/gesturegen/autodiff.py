@@ -35,8 +35,6 @@ __all__ = [
     "reshape",
     "broadcast_to",
     "exp",
-    "sqrt",
-    "sigmoid",
     "silu",
     "softplus",
     "relu",
@@ -192,17 +190,17 @@ class Tensor:
 
         return Tensor(self.value[key], (self,), bwd)
 
-    def sum(self, axis=None, keepdims=False):
+    def sum(self, axis=None):
         def bwd(g):
-            if axis is not None and not keepdims:
+            if axis is not None:
                 g = np.expand_dims(g, axis)
             self.grad += np.broadcast_to(g, self.value.shape)
 
-        return Tensor(self.value.sum(axis=axis, keepdims=keepdims), (self,), bwd)
+        return Tensor(self.value.sum(axis=axis), (self,), bwd)
 
-    def mean(self, axis=None, keepdims=False):
+    def mean(self, axis=None):
         n = self.value.size if axis is None else self.value.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) / n
+        return self.sum(axis=axis) / n
 
 
 def _is_basic_key(key) -> bool:
@@ -287,18 +285,6 @@ def exp(x: Tensor) -> Tensor:
     return Tensor(e, (x,), lambda g: x.grad.__iadd__(g * e))
 
 
-def sqrt(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    r = np.sqrt(x.value)
-    return Tensor(r, (x,), lambda g: x.grad.__iadd__(g * 0.5 / r))
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    s = 1.0 / (1.0 + np.exp(-x.value))
-    return Tensor(s, (x,), lambda g: x.grad.__iadd__(g * s * (1.0 - s)))
-
-
 def silu(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     s = 1.0 / (1.0 + np.exp(-x.value))
@@ -321,31 +307,30 @@ def relu(x: Tensor) -> Tensor:
 # -- rows/sequence primitives ------------------------------------------
 
 
-def softmax(x: Tensor, axis=-1) -> Tensor:
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis."""
     x = _as_tensor(x)
-    shifted = x.value - x.value.max(axis=axis, keepdims=True)
+    shifted = x.value - x.value.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        inner = (g * s).sum(axis=axis, keepdims=True)
+        inner = (g * s).sum(axis=-1, keepdims=True)
         x.grad += s * (g - inner)
 
     return Tensor(s, (x,), bwd)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization over the last axis, then affine."""
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Per-row (x - mean) / sqrt(var + 1e-5) over the last axis, then affine."""
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     d = x.value.shape[-1]
     if d == 0:
         raise ShapeError("layer_norm over an empty feature dimension")
-    if eps <= 0:
-        raise ValueError("layer_norm eps must be positive")
     mu = x.value.mean(axis=-1, keepdims=True)
     xc = x.value - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
 
     def bwd(g):
@@ -370,7 +355,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         raise ShapeError("attention with zero keys")
     d = q.value.shape[1]
     logits = matmul(q, transpose(k)) * (1.0 / np.sqrt(d))
-    return matmul(softmax(logits, axis=-1), v)
+    return matmul(softmax(logits), v)
 
 
 def transpose(x: Tensor) -> Tensor:

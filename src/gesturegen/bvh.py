@@ -13,6 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParseError, ShapeError
+from .fileio import read_text
 from .rotations import euler_to_rotmat, nearest_rotation, rotmat_to_euler
 
 _POSITION_CHANNELS = {"Xposition", "Yposition", "Zposition"}
@@ -225,9 +226,10 @@ def parse_bvh(text: str):
 
 
 def read_bvh(path):
-    """`parse_bvh` of the file at a `pathlib.Path`; a ParseError names the file."""
+    """`parse_bvh` of the file at `path`; a ParseError names the file."""
+    text = read_text(path)
     try:
-        return parse_bvh(path.read_text())
+        return parse_bvh(text)
     except ParseError as e:
         raise ParseError(f"{path}: {e}") from e
 
@@ -315,17 +317,15 @@ def clip_to_rotmat(clip: MotionClip) -> MotionClip:
     return MotionClip(clip.fps, clip.root_translation.copy(), rot, layout)
 
 
-def clip_to_euler(clip: MotionClip, orthonormalize: bool = False) -> MotionClip:
-    """Rotmat9 clip -> euler-degrees, optionally snapping blocks to SO(3)."""
+def clip_to_euler(clip: MotionClip) -> MotionClip:
+    """Rotmat9 clip -> euler-degrees; each block must already be a rotation
+    (`features_to_clip` snaps them)."""
     if clip.layout.rep == EULER_DEGREES:
         return clip
     F, J = clip.frames, clip.layout.joint_count
     rot = np.zeros((F, J, 3))
     for ji, order in enumerate(clip.layout.orders):  # one rotation order per joint
-        m = clip.rotations[:, ji].reshape(F, 3, 3)
-        if orthonormalize:
-            m = nearest_rotation(m)
-        rot[:, ji] = rotmat_to_euler(m, order)
+        rot[:, ji] = rotmat_to_euler(clip.rotations[:, ji].reshape(F, 3, 3), order)
     layout = replace(clip.layout, rep=EULER_DEGREES)
     return MotionClip(clip.fps, clip.root_translation.copy(), rot, layout)
 

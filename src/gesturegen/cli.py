@@ -51,7 +51,7 @@ def main(argv=None) -> int:
             _require(cfg, "data.checkpoint")
             written = run_sample(cfg["data.checkpoint"], cfg["data.dir"], n=cfg["sample.n"],
                                  seed=cfg["seed"], out_dir=args.out,
-                                 max_conditions=cfg["sample.max_conditions"] or None)
+                                 max_conditions=cfg["sample.max_conditions"])
             print(f"wrote {len(written)} samples to {args.out}")
         elif args.command == "eval":
             _require(cfg, "data.dir")

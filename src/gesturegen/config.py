@@ -52,7 +52,8 @@ DEFAULTS = {
 }
 
 # The least value of each key that a run can use; below it a run crashes or silently does less.
-MINIMUMS = {"train.steps": 1, "train.batch": 1, "sample.max_conditions": 0, "eval.n_diversity": 2}
+MINIMUMS = {"train.steps": 1, "train.batch": 1, "sample.max_conditions": 0, "eval.n_diversity": 2,
+            "synthetic.n_styles": 1, "model.d": 1, "model.n_state": 1, "model.expand": 1}
 
 # The paper-scale preset documents the reference hyperparameters; it is
 # far too heavy for the bundled synthetic corpus and exists for

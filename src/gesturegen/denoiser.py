@@ -139,16 +139,14 @@ def _blocks(*arrays):
 
 class AdamW:
     """Decoupled weight-decay Adam (Loshchilov & Hutter, arXiv 1711.05101)
-    over a named parameter dict. `step` updates the moments and the values
-    in place, block by block, through two scratch buffers of one block; they
-    live only during the step, so they add nothing to a training step's peak memory."""
+    over a named parameter dict, with betas (0.9, 0.999) and eps 1e-8. `step`
+    updates the moments and the values in place, block by block, through two
+    scratch buffers of one block; they live only during the step, so they add
+    nothing to a training step's peak memory."""
 
-    def __init__(self, params: dict, lr: float = 3e-5, betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 1e-4):
+    def __init__(self, params: dict, lr: float = 3e-5, weight_decay: float = 1e-4):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = {k: np.zeros_like(p.value) for k, p in params.items()}
@@ -162,7 +160,7 @@ class AdamW:
         result equals these expressions bit for bit; blocks keep the buffers
         in cache. Parameters without a gradient are skipped."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = 0.9, 0.999
         c1, c2 = 1.0 - b1, 1.0 - b2
         b1c = 1.0 - b1 ** self.t
         b2c = 1.0 - b2 ** self.t
@@ -178,7 +176,7 @@ class AdamW:
                 v += np.multiply(np.multiply(c2, g, out=s), g, out=s)
                 np.divide(m, b1c, out=u)
                 np.sqrt(np.divide(v, b2c, out=s), out=s)
-                s += self.eps
+                s += 1e-8
                 u /= s
                 np.multiply(self.weight_decay, x, out=s)
                 s += u

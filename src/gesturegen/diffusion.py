@@ -21,11 +21,6 @@ class DiffusionSchedule:
     coef_x0: np.ndarray  # weight on predicted clean sample in the posterior mean
     coef_xt: np.ndarray  # weight on the current noisy sample
 
-    def __post_init__(self):
-        for arr in (self.beta, self.alpha, self.alpha_bar, self.posterior_var):
-            if arr.shape != (self.steps,):
-                raise ConfigError("schedule arrays must have length T")
-
 
 def build_schedule(steps: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> DiffusionSchedule:
     """Linear beta schedule with posterior coefficients for x0-prediction."""

@@ -119,7 +119,15 @@ def read_checkpoint(path):
     return arrays, config, step
 
 
-# -- plain-text lists ---------------------------------------------------
+# -- plain-text files ---------------------------------------------------
+
+
+def read_text(path) -> str:
+    """The file's text, decoded as UTF-8; a ParseError that names the file if it is not."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from None
 
 
 def write_float_lines(path, values):
@@ -128,7 +136,7 @@ def write_float_lines(path, values):
 
 def read_float_lines(path):
     out = []
-    for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for ln, raw in enumerate(read_text(path).splitlines(), start=1):
         entry = raw.split("#", 1)[0].strip()
         if not entry:
             continue
@@ -145,7 +153,7 @@ def write_key_values(path, mapping: dict):
 
 def read_key_values(path):
     out = {}
-    for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for ln, raw in enumerate(read_text(path).splitlines(), start=1):
         entry = raw.split("#", 1)[0].strip()
         if not entry:
             continue

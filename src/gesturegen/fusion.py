@@ -77,7 +77,7 @@ class ConditionBundle:
     f_a: Tensor                  # F x d_audio, raw audio features
     f_text: Tensor               # F x d
     f_s: Optional[Tensor]        # d
-    f_e: Optional[Tensor]        # d, None outside SEA/SEAD modes
+    f_e: Optional[Tensor]        # d
     f_t: Tensor                  # d
     f_g: Tensor                  # F x d
 

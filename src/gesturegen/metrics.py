@@ -75,9 +75,8 @@ def _corpus_features(clips, frames=None, dim=None):
     return mats
 
 
-def train_fgd_extractor(clips, seed: int, steps: int = 500, hidden: int = 64,
-                        lr: float = 1e-3):
-    """Fit the autoencoder with mean-L1 reconstruction loss (plain Adam).
+def train_fgd_extractor(clips, seed: int, steps: int = 500, hidden: int = 64):
+    """Fit the autoencoder with mean-L1 reconstruction loss (plain Adam, lr 1e-3).
 
     Returns (extractor, loss_history). Deterministic given the seed.
     """
@@ -94,7 +93,7 @@ def train_fgd_extractor(clips, seed: int, steps: int = 500, hidden: int = 64,
         dec_w1=t((LATENT_DIM, hidden)), dec_b1=ad.tensor(np.zeros(hidden)),
         dec_w2=t((hidden, frames * dim)), dec_b2=ad.tensor(np.zeros(frames * dim)),
     )
-    opt = AdamW(ext.named(), lr=lr, weight_decay=0.0)
+    opt = AdamW(ext.named(), lr=1e-3, weight_decay=0.0)
     history = []
     for step in range(steps):
         mat = mats[int(rng.integers(len(mats)))]

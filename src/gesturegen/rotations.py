@@ -50,14 +50,14 @@ def euler_to_rotmat(angles_deg, order: str) -> np.ndarray:
     return r
 
 
-def rotmat_to_euler(r: np.ndarray, order: str, tol: float = 1e-6) -> np.ndarray:
+def rotmat_to_euler(r: np.ndarray, order: str) -> np.ndarray:
     """Channel-order degrees (..., 3) reproducing each matrix of `r`
-    (..., 3, 3) within `tol` in matrix space; GeometryError if any
+    (..., 3, 3) within 1e-6 in matrix space; GeometryError if any
     matrix of the stack is not a rotation."""
     order = check_order(order)
     r = np.asarray(r, dtype=np.float64)
     err = np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3)).max(axis=(-2, -1))
-    bad = (err > tol) | (np.linalg.det(r) <= 0)
+    bad = (err > 1e-6) | (np.linalg.det(r) <= 0)
     if bad.any():
         raise GeometryError(f"matrix is not a rotation (orthonormality error {err[bad].max():.2e})")
     with warnings.catch_warnings():

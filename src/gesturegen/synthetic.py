@@ -190,6 +190,9 @@ def load_dataset(directory) -> Dataset:
         text, _ = read_features(directory / f"{name}.text.feat")
         label_path = directory / f"{name}.labels"
         labels = _int_entries(label_path, read_key_values(label_path), ("style", "emotion"))
+        for key, n in (("style", meta.get("n_styles")), ("emotion", meta.get("n_emotions"))):
+            if n is not None and not 0 <= labels[key] < n:
+                raise DataError(f"{label_path}: {key} id {labels[key]} outside {n} classes")
         onset_path = directory / f"{name}.onsets"
         onsets = np.array([])
         if onset_path.is_file():

@@ -109,8 +109,8 @@ def test_l1_loss_value_and_grad(rng):
     ("mul", lambda x: x * x, (3, 4)),
     ("getitem", lambda x: x[1:, :2] * 3.0, (4, 4)),
     ("exp", ad.exp, (3, 3)),
-    ("sqrt", lambda x: ad.sqrt(x * x + 1.0), (3, 3)),
-    ("sigmoid", ad.sigmoid, (3, 3)),
+    ("sub", lambda x: x - x * x, (3, 3)),
+    ("broadcast_to", lambda x: ad.broadcast_to(x, (4, 3)) * ad.broadcast_to(x, (4, 3)), (1, 3)),
     ("silu", ad.silu, (3, 3)),
     ("softplus", ad.softplus, (3, 3)),
     ("relu", ad.relu, (3, 3)),

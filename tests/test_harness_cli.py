@@ -379,11 +379,16 @@ def test_cli_exit_codes(tmp_path, mini_corpus, capsys):
     gen_cfg = (f"data.dir = {mini_corpus}\ndata.gen_dir = {mini_corpus}\n"
                "eval.extractor_steps = 30\n")
     ckpt_cfg = f"data.dir = {mini_corpus}\ndata.checkpoint = {tmp_path / 'none.ckpt'}\n"
+    train_cfg = f"data.dir = {mini_corpus}\ntrain.steps = 1\nmodel.layers = 1\n"
     for command, base, line in [("eval", gen_cfg, "eval.sigma = 0"),
                                 ("eval", gen_cfg, "eval.sigma = -0.1"),
                                 ("eval", gen_cfg, "eval.n_diversity = 0"),
                                 ("eval", gen_cfg, "eval.n_diversity = 1"),
-                                ("sample", ckpt_cfg, "sample.max_conditions = -1")]:
+                                ("sample", ckpt_cfg, "sample.max_conditions = -1"),
+                                ("gen-synthetic", "", "synthetic.n_styles = 0"),
+                                ("train", train_cfg, "model.d = 0"),
+                                ("train", train_cfg, "model.n_state = 0"),
+                                ("train", train_cfg, "model.expand = 0")]:
         cfg.write_text(base + line + "\n")
         out = tmp_path / "never"
         assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2, line
@@ -418,6 +423,35 @@ def test_cli_rejects_corrupt_side_file(tmp_path, mini_corpus, capsys, file, edit
     assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error") and str(path) in err
+
+
+@pytest.mark.parametrize("file", ["clip_0001.labels", "clip_0001.onsets", "clip_0001.bvh",
+                                  "dataset.meta", "c.cfg"])
+def test_cli_names_a_text_file_that_is_not_utf8(tmp_path, mini_corpus, capsys, file):
+    corpus = _corpus_copy(tmp_path, mini_corpus, "not_utf8")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"data.dir = {corpus}\ntrain.steps = 1\n")
+    path = cfg if file == "c.cfg" else corpus / file
+    path.write_bytes(path.read_bytes() + b"\xff")
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith(f"data error: {path}: not UTF-8")
+
+
+@pytest.mark.parametrize("command, label, bad", [("train", b"style=1", b"style=9"),
+                                                  ("train", b"emotion=0", b"emotion=-1"),
+                                                  ("sample", b"emotion=0", b"emotion=8")])
+def test_cli_names_the_labels_file_of_an_out_of_range_id(tmp_path, mini_corpus, mini_run,
+                                                         capsys, command, label, bad):
+    corpus = _corpus_copy(tmp_path, mini_corpus, "bad_label")
+    path = corpus / "clip_0001.labels"
+    path.write_bytes(path.read_bytes().replace(label, bad))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"data.dir = {corpus}\ndata.checkpoint = {mini_run['checkpoint']}\n"
+                   "train.steps = 1\n")
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"data error: {path}: ")
+    assert not (out / "loss.csv").exists() and not list(out.glob("*.bvh"))
 
 
 def test_cli_train_takes_feature_widths_from_the_files(tmp_path, mini_corpus):

@@ -227,20 +227,20 @@ def test_rotmat_roundtrip_mixed_orders(rng):
     for j, order in enumerate(orders):
         assert np.array_equal(rm.rotations[:, j].reshape(7, 3, 3),
                               rot.euler_to_rotmat(angles[:, j], order))
+    feats = bvh.clip_to_features(rm)
     for orthonormalize in (False, True):
-        back = bvh.clip_to_euler(rm, orthonormalize=orthonormalize)
+        back = bvh.clip_to_euler(bvh.features_to_clip(feats, rm.fps, layout, orthonormalize))
         assert back.layout.orders == orders
         assert np.abs(back.rotations - angles).max() < 1e-9
 
 
 def test_clip_to_euler_orthonormalize_flag(rng):
     _, clip = _random_clip(rng, 2, 3)
-    rm = bvh.clip_to_rotmat(clip)
-    noisy = rm.rotations + rng.normal(0, 1e-4, rm.rotations.shape)
-    noisy_clip = bvh.MotionClip(rm.fps, rm.root_translation, noisy, rm.layout)
+    noisy = bvh.clip_to_features(clip)
+    noisy[:, 3:] += rng.normal(0, 1e-4, noisy[:, 3:].shape)
     with pytest.raises(GeometryError):
-        bvh.clip_to_euler(noisy_clip, orthonormalize=False)
-    fixed = bvh.clip_to_euler(noisy_clip, orthonormalize=True)
+        bvh.clip_to_euler(bvh.features_to_clip(noisy, clip.fps, clip.layout, orthonormalize=False))
+    fixed = bvh.clip_to_euler(bvh.features_to_clip(noisy, clip.fps, clip.layout, orthonormalize=True))
     assert np.abs(fixed.rotations - clip.rotations).max() < 0.1  # degrees
 
 
