@@ -178,9 +178,6 @@ class Tensor:
             raise TypeError("tensor/tensor division is not supported; multiply by a reciprocal")
         return self * (1.0 / float(scalar))
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         def bwd(g):
             if _is_basic_key(key):  # each element is hit at most once, so += is exact

@@ -8,12 +8,13 @@ Files carry degrees; matrix conversions happen in radians internally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .errors import ParseError, ShapeError
-from .fileio import read_text
+from .errors import DataError, ParseError, ShapeError
+from .fileio import entries, read_text
 from .rotations import euler_to_rotmat, nearest_rotation, rotmat_to_euler
 
 _POSITION_CHANNELS = {"Xposition", "Yposition", "Zposition"}
@@ -234,6 +235,15 @@ def read_bvh(path):
         raise ParseError(f"{path}: {e}") from e
 
 
+def read_bvh_dir(directory) -> list:
+    """(name, skeleton, clip) for each `*.bvh` file in `directory`, in name order;
+    a DataError if there is none."""
+    files = sorted(Path(directory).glob("*.bvh"))
+    if not files:
+        raise DataError(f"no BVH clips found in {directory}")
+    return [(p.stem, *read_bvh(p)) for p in files]
+
+
 def _channel_columns(joints):
     """Map motion-data columns to the clip: (position columns, their XYZ
     axes, rotation columns). The rotation columns map in order onto
@@ -378,10 +388,7 @@ def load_joint_subset(text: str, layout: JointLayout, name: str = "subset") -> J
     The literal name 'translation' selects the root-translation slot.
     """
     wanted = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        entry = raw.split("#", 1)[0].strip()
-        if not entry:
-            continue
+    for ln, entry in entries(text):
         if entry == "translation":
             wanted.append(0)
         elif entry in layout.names:

@@ -19,7 +19,6 @@ DEFAULTS = {
     "synthetic.frames": 60,
     "synthetic.joints": 8,
     "synthetic.n_styles": 4,
-    "synthetic.n_emotions": 8,
     "synthetic.d_audio": 24,
     "synthetic.d_text": 8,
     "synthetic.fps": 30.0,
@@ -52,8 +51,11 @@ DEFAULTS = {
 }
 
 # The least value of each key that a run can use; below it a run crashes or silently does less.
-MINIMUMS = {"train.steps": 1, "train.batch": 1, "sample.max_conditions": 0, "eval.n_diversity": 2,
-            "synthetic.n_styles": 1, "model.d": 1, "model.n_state": 1, "model.expand": 1}
+MINIMUMS = {"train.steps": 1, "train.batch": 1, "sample.n": 1, "sample.max_conditions": 0,
+            "eval.n_diversity": 2, "eval.extractor_steps": 1, "eval.extractor_hidden": 1,
+            "synthetic.n_clips": 1, "synthetic.frames": 3, "synthetic.joints": 1,
+            "synthetic.n_styles": 1, "synthetic.d_audio": 1, "synthetic.d_text": 1,
+            "model.d": 1, "model.n_state": 1, "model.expand": 1}
 
 # The paper-scale preset documents the reference hyperparameters; it is
 # far too heavy for the bundled synthetic corpus and exists for
@@ -109,6 +111,7 @@ def load_config(path=None, preset: str = "toy", overrides: dict | None = None) -
     for key, least in MINIMUMS.items():
         if cfg[key] < least:
             raise ConfigError(f"{key} must be at least {least}, got {cfg[key]}")
-    if cfg["eval.sigma"] <= 0:
-        raise ConfigError(f"eval.sigma must be positive, got {cfg['eval.sigma']}")
+    for key in ("eval.sigma", "synthetic.fps"):
+        if cfg[key] <= 0:
+            raise ConfigError(f"{key} must be positive, got {cfg[key]}")
     return cfg

@@ -134,12 +134,18 @@ def write_float_lines(path, values):
     Path(path).write_text("".join(f"{v:.9f}\n" for v in values))
 
 
+def entries(text: str):
+    """(line number, entry) for each line of `text` that is not blank once its
+    '#' comment is cut and it is stripped."""
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        entry = raw.split("#", 1)[0].strip()
+        if entry:
+            yield ln, entry
+
+
 def read_float_lines(path):
     out = []
-    for ln, raw in enumerate(read_text(path).splitlines(), start=1):
-        entry = raw.split("#", 1)[0].strip()
-        if not entry:
-            continue
+    for ln, entry in entries(read_text(path)):
         try:
             out.append(float(entry))
         except ValueError:
@@ -153,10 +159,7 @@ def write_key_values(path, mapping: dict):
 
 def read_key_values(path):
     out = {}
-    for ln, raw in enumerate(read_text(path).splitlines(), start=1):
-        entry = raw.split("#", 1)[0].strip()
-        if not entry:
-            continue
+    for ln, entry in entries(read_text(path)):
         if "=" not in entry:
             raise ParseError(f"{path}: expected key=value, got {entry!r}", line=ln)
         key, _, value = entry.partition("=")

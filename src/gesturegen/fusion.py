@@ -96,9 +96,6 @@ class DisentangledAudio:
 @dataclass
 class FusionOutput:
     f_fuse: Tensor
-    f_s_h: Optional[Tensor] = None
-    f_e_h: Optional[Tensor] = None
-    f_prime_se: Optional[Tensor] = None
     disentangled: Optional[DisentangledAudio] = None
 
 
@@ -242,8 +239,7 @@ def cross_local_attention(weights: FusionWeights, x: Tensor) -> Tensor:
     for start in range(0, frames, window):
         w = x[start:min(start + window, frames), :]
         pieces.append(ad.scaled_dot_attention(w, w, w))
-    attended = pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=0)
-    return ad.matmul(attended, weights.local_w) + weights.local_b
+    return ad.matmul(ad.concat(pieces, axis=0), weights.local_w) + weights.local_b
 
 
 def mask_conditions(f_s: Tensor, f_e: Tensor, p: float, rng: np.random.Generator):
@@ -273,25 +269,20 @@ def fusion_forward(weights: FusionWeights, bundle: ConditionBundle) -> FusionOut
     if mode != SA and bundle.f_e is None:
         raise ConfigError(f"{mode} fusion requires an emotion feature")
 
-    out = FusionOutput(f_fuse=None)
+    da = None
     if mode in (SA, SEA):
         audio_slot = bundle.f_a
         style_slot = _rows(bundle.f_s, frames)
         emotion_slot = _rows(bundle.f_e, frames) if mode == SEA else None
     else:
         da = disentangle_audio(weights, bundle.f_a)
-        f_s_h, f_e_h = enhance_style_emotion(weights, da, bundle.f_s, bundle.f_e)
-        out.disentangled, out.f_s_h, out.f_e_h = da, f_s_h, f_e_h
+        style_slot, emotion_slot = enhance_style_emotion(weights, da, bundle.f_s, bundle.f_e)
+        audio_slot = da.f_a_g
         if mode == SEAD:
-            out.f_prime_se = fuse_se(weights, f_s_h, f_e_h)
-            audio_slot = cross_attend_audio(da.f_a_g, out.f_prime_se)
-        else:
-            audio_slot = da.f_a_g
-        style_slot, emotion_slot = f_s_h, f_e_h
+            audio_slot = cross_attend_audio(da.f_a_g, fuse_se(weights, style_slot, emotion_slot))
 
     parts = [audio_slot, bundle.f_text, style_slot]
     if emotion_slot is not None:
         parts.append(emotion_slot)
     parts += [bundle.f_g, _rows(bundle.f_t, frames)]
-    out.f_fuse = cross_local_attention(weights, ad.concat(parts, axis=1))
-    return out
+    return FusionOutput(cross_local_attention(weights, ad.concat(parts, axis=1)), da)

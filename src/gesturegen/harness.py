@@ -13,12 +13,12 @@ from . import autodiff as ad
 from . import denoiser as dn
 from . import fusion as fu
 from . import metrics as mt
-from .bvh import clip_to_euler, clip_to_features, features_to_clip, read_bvh, write_bvh
+from .bvh import clip_to_euler, clip_to_features, features_to_clip, read_bvh_dir, write_bvh
 from .config import DEFAULTS, load_config
 from .diffusion import build_schedule, sample_loop
 from .errors import ConfigError, DataError, GestureGenError, NumericalError, ParseError
 from .fileio import read_checkpoint, write_checkpoint, write_report
-from .synthetic import Dataset, load_dataset
+from .synthetic import Dataset, SyntheticSpec, load_dataset
 
 LOSS_HEADER = ["step", "l_total", "l_g", "l_s", "l_e"]
 WIDTH_KEYS = ("data.gesture_dim", "data.d_audio", "data.d_text", "data.n_styles", "data.n_emotions")
@@ -30,7 +30,7 @@ def _corpus_widths(dataset: Dataset):
     first = dataset.records[0]
     return (dataset.gesture_dim, first.audio.shape[1], first.text.shape[1],
             dataset.meta.get("n_styles", max(r.style_id for r in dataset.records) + 1),
-            dataset.meta.get("n_emotions", 8))
+            dataset.meta.get("n_emotions", SyntheticSpec.n_emotions))
 
 
 def _model_spec(cfg: dict, widths) -> fu.ModelSpec:
@@ -104,6 +104,9 @@ def load_model(checkpoint_path):
     if missing:
         raise DataError(f"checkpoint is missing parameters: {sorted(missing)[:5]} ...")
     for name, p in params.items():
+        if arrays[name].shape != p.value.shape:
+            raise DataError(f"{checkpoint_path}: array {name!r} has shape {arrays[name].shape}, "
+                            f"the model needs {p.value.shape}")
         p.value = np.array(arrays[name], dtype=np.float64)
     opt_state = {k: v for k, v in arrays.items() if k.startswith("opt.")}
     return model, cfg, step, opt_state
@@ -142,14 +145,6 @@ def run_sample(checkpoint_path, conditions_dir, n: int, seed: int, out_dir,
     return written
 
 
-def _load_gen_corpus(directory):
-    directory = Path(directory)
-    files = sorted(directory.glob("*.bvh"))
-    if not files:
-        raise DataError(f"no BVH clips in {directory}")
-    return [(p.stem, read_bvh(p)[1]) for p in files]
-
-
 def get_extractor(ref_dataset_dir, cfg: dict):
     """Train (or load a cached) reconstruction feature extractor on the
     reference corpus. The cache `<ref>/fgd_extractor.ckpt` is reused only if it reads,
@@ -178,8 +173,8 @@ def get_extractor(ref_dataset_dir, cfg: dict):
 def run_eval(gen_dir, ref_dir, cfg: dict, out_dir=None) -> dict:
     """Full metric suite for a generated corpus against a reference corpus."""
     ext, ref = get_extractor(ref_dir, cfg)
-    gen = _load_gen_corpus(gen_dir)
-    gen_mats = [clip_to_features(c) for _, c in gen]
+    gen = read_bvh_dir(gen_dir)
+    gen_mats = [clip_to_features(c) for _, _, c in gen]
     as_rotmat = lambda feats, c: features_to_clip(feats, c.fps, c.layout, orthonormalize=False)
 
     ref_feats = ext.features([r.x0 for r in ref.records])
@@ -197,18 +192,17 @@ def run_eval(gen_dir, ref_dir, cfg: dict, out_dir=None) -> dict:
     # back to index order
     by_name = {r.name: r for r in ref.records}
     aligns, srgrs = [], []
-    for i, ((name, clip), mat) in enumerate(zip(gen, gen_mats)):
+    for i, ((name, _, clip), mat) in enumerate(zip(gen, gen_mats)):
         rec = by_name.get(name.split(".")[0], ref.records[i % len(ref.records)])
         if rec.onsets.size == 0:
             raise DataError(f"reference clip {rec.name} has no onsets in {ref_dir}")
         aligns.append(mt.beat_align(rec.onsets, mt.detect_gesture_beats(clip),
                                     sigma=cfg["eval.sigma"]))
-        if clip.rotations.shape == rec.clip.rotations.shape:
-            # threshold lives in rotation-matrix element space
-            srgrs.append(mt.srgr(as_rotmat(mat, clip), as_rotmat(rec.x0, rec.clip),
-                                 threshold=cfg["eval.threshold"]))
+        # threshold lives in rotation-matrix element space
+        srgrs.append(mt.srgr(as_rotmat(mat, clip), as_rotmat(rec.x0, rec.clip),
+                             threshold=cfg["eval.threshold"]))
     report["beat_align"] = float(np.mean(aligns))
-    report["srgr"] = float(np.mean(srgrs)) if srgrs else ""
+    report["srgr"] = float(np.mean(srgrs))
 
     if out_dir is not None:
         out = Path(out_dir)
@@ -284,13 +278,9 @@ def run_ablation(cfg: dict, dataset_dir, out_dir) -> list:
         if "error" in row:
             lines.append(_table_row([row["name"], "FAILED: " + row["error"]]))
         else:
-            lines.append(_table_row([row["name"]] + [_fmt_metric(row[c]) for c in METRIC_COLUMNS]))
+            lines.append(_table_row([row["name"]] + [f"{row[c]:.4f}" for c in METRIC_COLUMNS]))
     (out / "ablation.txt").write_text("\n".join(lines) + "\n")
     return rows
-
-
-def _fmt_metric(v):
-    return f"{v:.4f}" if isinstance(v, float) else str(v)
 
 
 def _table_row(cells):

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .bvh import (BvhJoint, JointLayout, MotionClip, Skeleton, clip_to_features,
-                  read_bvh, write_bvh)
+                  read_bvh_dir, write_bvh)
 from .errors import DataError, ParseError
 from .fileio import (read_features, read_float_lines, read_key_values, write_features,
                      write_float_lines, write_key_values)
@@ -170,9 +170,7 @@ def _int_entries(path, entries: dict, keys) -> dict:
 def load_dataset(directory) -> Dataset:
     """Read a corpus produced by `gen_synthetic_dataset` (or matching it)."""
     directory = Path(directory)
-    bvh_files = sorted(directory.glob("*.bvh"))
-    if not bvh_files:
-        raise DataError(f"no BVH clips found in {directory}")
+    clips = read_bvh_dir(directory)
     meta = {}
     meta_path = directory / "dataset.meta"
     if meta_path.is_file():
@@ -180,14 +178,16 @@ def load_dataset(directory) -> Dataset:
         meta |= _int_entries(meta_path, meta, [k for k in ("n_styles", "n_emotions") if k in meta])
 
     records = []
-    skeleton = layout = None
-    for path in bvh_files:
-        name = path.stem
-        skel, clip = read_bvh(path)
-        if skeleton is None:
-            skeleton, layout = skel, clip.layout
-        audio, _ = read_features(directory / f"{name}.audio.feat")
-        text, _ = read_features(directory / f"{name}.text.feat")
+    widths = {}  # each modality's feature width, from the first clip
+    for name, _, clip in clips:
+        feats = {}
+        for modality in ("audio", "text"):
+            path = directory / f"{name}.{modality}.feat"
+            feats[modality], _ = read_features(path)
+            want = (clip.frames, widths.setdefault(modality, feats[modality].shape[1]))
+            if feats[modality].shape != want:
+                raise DataError(f"{path}: {modality} features {feats[modality].shape}, "
+                                f"expected (frames, width) {want}")
         label_path = directory / f"{name}.labels"
         labels = _int_entries(label_path, read_key_values(label_path), ("style", "emotion"))
         for key, n in (("style", meta.get("n_styles")), ("emotion", meta.get("n_emotions"))):
@@ -198,10 +198,11 @@ def load_dataset(directory) -> Dataset:
         if onset_path.is_file():
             onsets = read_float_lines(onset_path)
         records.append(ClipRecord(
-            name=name, clip=clip, x0=clip_to_features(clip), audio=audio, text=text,
-            style_id=labels["style"], emotion_id=labels["emotion"],
+            name=name, clip=clip, x0=clip_to_features(clip), audio=feats["audio"],
+            text=feats["text"], style_id=labels["style"], emotion_id=labels["emotion"],
             onsets=onsets))
     shapes = {r.x0.shape for r in records}
     if len(shapes) != 1:
         raise DataError(f"corpus clips have heterogeneous shapes: {sorted(shapes)}")
-    return Dataset(records, skeleton, layout, meta)
+    _, skeleton, first = clips[0]
+    return Dataset(records, skeleton, first.layout, meta)

@@ -17,3 +17,4 @@ def test_demo_runs(demo, tmp_path):
     done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr[-2000:]
+    assert not list(tmp_path.glob("gesturegen_demo_*")), "the demo left its directory behind"

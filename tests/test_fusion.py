@@ -139,12 +139,11 @@ def test_fusion_forward_all_modes(mode, rng):
     b = fu.encode_conditions(w, audio, text, 0, 3, x_t, 2)
     out = fu.fusion_forward(w, b)
     assert out.f_fuse.value.shape == (6, 8)
-    if mode in (fu.SA, fu.SEA):
-        assert out.disentangled is None
-    else:
-        assert out.disentangled is not None
-        assert out.f_s_h.value.shape == (6, 8)
-    assert (out.f_prime_se is not None) == (mode == fu.SEAD)
+    assert (out.disentangled is not None) == (mode in (fu.SEAD_BASIC, fu.SEAD))
+    # the fused style/emotion projection reaches f_fuse in SEAD only
+    w.se_w.value[...] += 1.0
+    moved = fu.fusion_forward(w, b).f_fuse.value
+    assert (not np.array_equal(moved, out.f_fuse.value)) == (mode == fu.SEAD)
 
 
 def test_sead_reduces_to_sead_basic_with_null_attention(rng):

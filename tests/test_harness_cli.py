@@ -8,7 +8,7 @@ import pytest
 
 from gesturegen import cli, harness, metrics as mt, synthetic
 from gesturegen.errors import DataError, ParseError
-from gesturegen.fileio import read_checkpoint, write_checkpoint
+from gesturegen.fileio import read_checkpoint, read_features, write_checkpoint, write_features
 
 
 def test_run_train_outputs(mini_run, mini_cfg):
@@ -180,6 +180,19 @@ def test_cold_and_warm_eval_reports_are_equal(tmp_path, mini_cfg):
     cold = harness.run_eval(gen, ref, cfg)
     assert (ref / "fgd_extractor.ckpt").is_file()
     assert harness.run_eval(gen, ref, cfg) == cold
+
+
+@pytest.mark.parametrize("patch", [{"frames": 24}, {"joints": 3}], ids=["frames", "joints"])
+def test_run_eval_rejects_a_generated_corpus_of_another_shape(tmp_path, mini_cfg, patch):
+    """Every scored clip has the reference's (frames, 3 + 9J) shape, so every clip has an SRGR."""
+    ref, gen = tmp_path / "ref", tmp_path / "gen"
+    base = dict(n_clips=3, frames=20, joints=2)
+    synthetic.gen_synthetic_dataset(synthetic.SyntheticSpec(**base, seed=3), ref)
+    synthetic.gen_synthetic_dataset(synthetic.SyntheticSpec(**(base | patch), seed=4), gen)
+    cfg = dict(mini_cfg, **{"eval.extractor_steps": 3, "eval.extractor_hidden": 8})
+    with pytest.raises(DataError, match="does not match extractor"):
+        harness.run_eval(gen, ref, cfg, out_dir=tmp_path / "rep")
+    assert not (tmp_path / "rep").exists()
 
 
 def _write_mgckpt1(path, arrays, config, step):
@@ -385,7 +398,18 @@ def test_cli_exit_codes(tmp_path, mini_corpus, capsys):
                                 ("eval", gen_cfg, "eval.n_diversity = 0"),
                                 ("eval", gen_cfg, "eval.n_diversity = 1"),
                                 ("sample", ckpt_cfg, "sample.max_conditions = -1"),
+                                ("sample", ckpt_cfg, "sample.n = 0"),
+                                ("sample", ckpt_cfg, "sample.n = -2"),
+                                ("eval", gen_cfg, "eval.extractor_steps = 0"),
+                                ("eval", gen_cfg, "eval.extractor_steps = -3"),
+                                ("eval", gen_cfg, "eval.extractor_hidden = 0"),
                                 ("gen-synthetic", "", "synthetic.n_styles = 0"),
+                                ("gen-synthetic", "", "synthetic.n_clips = 0"),
+                                ("gen-synthetic", "", "synthetic.d_audio = 0"),
+                                ("gen-synthetic", "", "synthetic.d_text = 0"),
+                                ("gen-synthetic", "", "synthetic.joints = 0"),
+                                ("gen-synthetic", "", "synthetic.frames = 2"),
+                                ("gen-synthetic", "", "synthetic.fps = 0"),
                                 ("train", train_cfg, "model.d = 0"),
                                 ("train", train_cfg, "model.n_state = 0"),
                                 ("train", train_cfg, "model.expand = 0")]:
@@ -454,6 +478,29 @@ def test_cli_names_the_labels_file_of_an_out_of_range_id(tmp_path, mini_corpus, 
     assert not (out / "loss.csv").exists() and not list(out.glob("*.bvh"))
 
 
+def _cut_features(path, rows=None, cols=None):
+    feats, modality = read_features(path)
+    write_features(path, feats[:rows, :cols], modality)
+
+
+@pytest.mark.parametrize("files, rows, cols", [
+    (["clip_0001.audio.feat", "clip_0001.text.feat"], 50, None),
+    (["clip_0001.text.feat"], 50, None),
+    (["clip_0003.audio.feat"], None, 20),
+], ids=["audio-and-text-rows", "text-rows", "audio-columns"])
+def test_cli_names_a_feature_file_that_disagrees(tmp_path, mini_corpus, capsys, files, rows, cols):
+    """Each clip's features have its BVH's frame count and the first clip's widths."""
+    corpus = _corpus_copy(tmp_path, mini_corpus, "cut")
+    for name in files:
+        _cut_features(corpus / name, rows, cols)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"data.dir = {corpus}\ntrain.steps = 1\n")
+    out = tmp_path / "o"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"data error: {corpus / files[0]}: ")
+    assert not (out / "loss.csv").exists()
+
+
 def test_cli_train_takes_feature_widths_from_the_files(tmp_path, mini_corpus):
     corpus = _corpus_copy(tmp_path, mini_corpus, "stale_meta")
     meta = corpus / "dataset.meta"
@@ -484,6 +531,21 @@ def test_cli_sample_rejects_corrupt_checkpoint(tmp_path, mini_run, mini_corpus, 
     cfg.write_text(f"data.dir = {mini_corpus}\ndata.checkpoint = {ckpt}\n")
     assert cli.main(["sample", "--config", str(cfg), "--out", str(tmp_path / "gen")]) == 3
     assert capsys.readouterr().err.startswith(f"data error: {ckpt}")
+
+
+def test_cli_sample_rejects_a_checkpoint_array_of_another_shape(tmp_path, mini_run,
+                                                                mini_corpus, capsys):
+    arrays, header, step = read_checkpoint(mini_run["checkpoint"])
+    ckpt = tmp_path / "model.ckpt"
+    write_checkpoint(ckpt, arrays | {"fusion.text_b": np.zeros(1)}, header, step)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"data.dir = {mini_corpus}\ndata.checkpoint = {ckpt}\n")
+    out = tmp_path / "gen"
+    assert cli.main(["sample", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {ckpt}: ")
+    assert "'fusion.text_b'" in err and "(1,)" in err and "(32,)" in err
+    assert not list(out.glob("*.bvh"))
 
 
 def test_cli_sample_rejects_condition_width_mismatch(tmp_path, mini_run, mini_cfg, capsys):
