@@ -235,10 +235,14 @@ def read_bvh(path):
         raise ParseError(f"{path}: {e}") from e
 
 
+def bvh_paths(directory) -> list:
+    """The `*.bvh` files in `directory`, in name order (none if it does not exist)."""
+    return sorted(Path(directory).glob("*.bvh"))
+
+
 def read_bvh_dir(directory) -> list:
-    """(name, skeleton, clip) for each `*.bvh` file in `directory`, in name order;
-    a DataError if there is none."""
-    files = sorted(Path(directory).glob("*.bvh"))
+    """(name, skeleton, clip) for each of `bvh_paths(directory)`; a DataError if there is none."""
+    files = bvh_paths(directory)
     if not files:
         raise DataError(f"no BVH clips found in {directory}")
     return [(p.stem, *read_bvh(p)) for p in files]

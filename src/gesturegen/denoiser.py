@@ -5,7 +5,9 @@ loss + L1 style/emotion alignment, AdamW updates).
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -214,49 +216,69 @@ class TrainExample:
     emotion_id: int
 
 
+def _clip_backward(model: GestureModel, ex: TrainExample, schedule: DiffusionSchedule,
+                   rng: np.random.Generator, huber_delta: float, n: int, index: int):
+    """Forward one clip and backpropagate its loss l_g + l_s + l_e, over n, into the
+    weights' `.grad`; a non-finite loss raises first. Returns (l_g, l_s, l_e) as
+    floats, so the clip's graph is freed on return."""
+    t = int(rng.integers(schedule.steps))
+    eps = rng.standard_normal(ex.x0.shape)
+    x_t = q_sample(ex.x0, t, eps, schedule)
+    bundle = fu.encode_conditions(model.fusion, ex.audio, ex.text,
+                                  ex.style_id, ex.emotion_id, x_t, t)
+    target_s, target_e = bundle.f_s, bundle.f_e
+    bundle.f_s, bundle.f_e = fu.mask_conditions(bundle.f_s, bundle.f_e,
+                                                model.fusion.spec.mask_prob, rng)
+    out = fu.fusion_forward(model.fusion, bundle)
+    x0_hat = denoiser_forward(model.denoiser, out.f_fuse)
+    l_g = ad.huber_loss(x0_hat - ad.tensor(ex.x0), huber_delta)
+    if out.disentangled is not None:
+        l_s, l_e = fu.style_emotion_losses(out.disentangled, target_s, target_e)
+    else:
+        l_s = l_e = ad.tensor(0.0)
+    loss = l_g + l_s + l_e
+    if not np.isfinite(loss.value):
+        raise NumericalError(f"non-finite training loss in clip {index}: {loss.value}")
+    (loss * (1.0 / n)).backward()
+    return float(l_g.value), float(l_s.value), float(l_e.value)
+
+
 def training_step(model: GestureModel, optimizer: AdamW, batch: list,
                   schedule: DiffusionSchedule, rng: np.random.Generator,
                   huber_delta: float = 1.0) -> dict:
     """One stochastic step over a batch of clips.
 
     Per clip: draw t and noise, form x_t, encode + mask conditions, fuse,
-    predict the clean sample, and score Huber gesture loss plus L1
-    style/emotion alignment. Gradients are averaged over the batch.
-    Returns the component losses.
+    predict the clean sample, score Huber gesture loss plus L1
+    style/emotion alignment, and backpropagate that loss over the batch
+    size before the next clip starts, so memory holds one clip's graph
+    whatever the batch. Gradients are accumulated clip by clip, in clip
+    order; as each weight gets one contribution per clip, the sums equal
+    one backward over the whole batch bit for bit. A weight that no clip
+    reaches keeps `grad` None. A non-finite clip loss raises
+    `NumericalError` before any weight or moment changes. Returns the
+    component losses, each the mean over the batch.
     """
     if not batch:
         raise ShapeError("empty training batch")
-    total_parts = []
-    sums = {"l_g": 0.0, "l_s": 0.0, "l_e": 0.0}
-    for ex in batch:
-        t = int(rng.integers(schedule.steps))
-        eps = rng.standard_normal(ex.x0.shape)
-        x_t = q_sample(ex.x0, t, eps, schedule)
-        bundle = fu.encode_conditions(model.fusion, ex.audio, ex.text,
-                                      ex.style_id, ex.emotion_id, x_t, t)
-        target_s, target_e = bundle.f_s, bundle.f_e
-        masked_s, masked_e = fu.mask_conditions(bundle.f_s, bundle.f_e,
-                                                model.fusion.spec.mask_prob, rng)
-        bundle.f_s, bundle.f_e = masked_s, masked_e
-        out = fu.fusion_forward(model.fusion, bundle)
-        x0_hat = denoiser_forward(model.denoiser, out.f_fuse)
-        l_g = ad.huber_loss(x0_hat - ad.tensor(ex.x0), huber_delta)
-        if out.disentangled is not None:
-            l_s, l_e = fu.style_emotion_losses(out.disentangled, target_s, target_e)
-        else:
-            l_s = l_e = ad.tensor(0.0)
-        total_parts.append(l_g + l_s + l_e)
-        sums["l_g"] += float(l_g.value)
-        sums["l_s"] += float(l_s.value)
-        sums["l_e"] += float(l_e.value)
     n = len(batch)
-    total = total_parts[0]
-    for p in total_parts[1:]:
-        total = total + p
-    total = total / n
-    if not np.isfinite(total.value):
-        raise NumericalError(f"non-finite training loss: {total.value}")
-    total.backward()
+    params = optimizer.params
+    losses, grads = [], {}  # (l_g, l_s, l_e) per clip; the gradient sums so far
+    for i, ex in enumerate(batch):
+        for p in params.values():
+            p.grad = None
+        losses.append(_clip_backward(model, ex, schedule, rng, huber_delta, n, i))
+        for name, p in params.items():
+            if p.grad is None:
+                continue
+            if name in grads:
+                grads[name] += p.grad
+            else:
+                grads[name] = p.grad
+    for name, p in params.items():
+        p.grad = grads.get(name)
     optimizer.step()
-    return {"l_total": float(total.value),
-            "l_g": sums["l_g"] / n, "l_s": sums["l_s"] / n, "l_e": sums["l_e"] / n}
+    # left folds, in clip order, as the one-graph loss formed them
+    l_g, l_s, l_e = (reduce(operator.add, column, 0.0) / n for column in zip(*losses))
+    total = reduce(operator.add, [g + s + e for g, s, e in losses]) * (1.0 / n)
+    return {"l_total": total, "l_g": l_g, "l_s": l_s, "l_e": l_e}

@@ -13,7 +13,8 @@ from . import autodiff as ad
 from . import denoiser as dn
 from . import fusion as fu
 from . import metrics as mt
-from .bvh import clip_to_euler, clip_to_features, features_to_clip, read_bvh_dir, write_bvh
+from .bvh import (bvh_paths, clip_to_euler, clip_to_features, features_to_clip, read_bvh_dir,
+                  write_bvh)
 from .config import DEFAULTS, load_config
 from .diffusion import build_schedule, sample_loop
 from .errors import ConfigError, DataError, GestureGenError, NumericalError, ParseError
@@ -250,7 +251,19 @@ def run_ablation(cfg: dict, dataset_dir, out_dir) -> list:
     `<out>/<variant>/error.txt`, and the run continues; any other exception is a
     bug and propagates. Returns the list of row dicts and writes a fixed-width
     table plus per-row reports.
+
+    Each eval needs at least 2 generated clips, so a config that samples fewer,
+    `sample.n * min(sample.max_conditions or n_clips, n_clips)` for the corpus's
+    n_clips >= 1 clips, is a ConfigError before any variant trains. An empty corpus
+    is left to each row's DataError.
     """
+    n_clips = len(bvh_paths(dataset_dir))
+    n, most = cfg["sample.n"], cfg["sample.max_conditions"]
+    per_eval = n * min(most or n_clips, n_clips)
+    if n_clips and per_eval < 2:
+        raise ConfigError(f"sample.n = {n} and sample.max_conditions = {most} give {per_eval} "
+                          f"generated clip(s) from the {n_clips} clip(s) in {dataset_dir}; "
+                          "each variant's eval needs at least 2")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []

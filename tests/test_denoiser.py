@@ -1,9 +1,11 @@
 """Denoiser blocks, variant factory, optimizer, and the training step."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gesturegen import autodiff as ad, denoiser as dn, fusion as fu
-from gesturegen.diffusion import build_schedule
+from gesturegen.diffusion import build_schedule, q_sample
 from gesturegen.errors import ConfigError, NumericalError, ShapeError
 
 
@@ -184,9 +186,9 @@ def test_adamw_step_leaves_loaded_state_untouched():
 # -- training step ------------------------------------------------------
 
 
-def make_tiny_model(mode=fu.SEAD, seed=0):
+def make_tiny_model(mode=fu.SEAD, seed=0, **toggles):
     spec = small_config(layers=1, d_audio=4, d_text=3, n_styles=2, n_emotions=8,
-                        window=4, mode=mode, mask_prob=0.1)
+                        window=4, mode=mode, mask_prob=0.1, **toggles)
     return dn.build_model(spec, seed)
 
 
@@ -232,6 +234,102 @@ def test_training_step_raises_on_nonfinite(rng):
     with pytest.raises(NumericalError):
         dn.training_step(model, opt, make_batch(rng), build_schedule(10),
                          np.random.default_rng(0))
+
+
+def test_training_step_raises_before_any_update_when_a_later_clip_is_nonfinite(rng):
+    """The first clip is finite and runs its backward; the second is not. No weight,
+    moment or step count may change."""
+    model = make_tiny_model()
+    opt = dn.AdamW(model.named(), lr=1e-3)
+    sch = build_schedule(10, 1e-4, 0.2)
+    dn.training_step(model, opt, make_batch(rng), sch, np.random.default_rng(1))
+    batch = make_batch(rng, n=3)
+    batch[1].audio[2, 1] = np.inf
+    state = lambda: ({k: p.value.tobytes() for k, p in model.named().items()},
+                     {k: a.tobytes() for k, a in opt.m.items()},
+                     {k: a.tobytes() for k, a in opt.v.items()}, opt.t)
+    before = state()
+    with pytest.raises(NumericalError, match="clip 1"):
+        dn.training_step(model, opt, batch, sch, np.random.default_rng(2))
+    assert state() == before
+
+
+def _one_graph_step(model, optimizer, batch, schedule, rng, huber_delta=1.0):
+    """The training step as one graph over the whole batch and one backward: the
+    form that accumulating the gradients clip by clip must equal bit for bit."""
+    total_parts = []
+    sums = {"l_g": 0.0, "l_s": 0.0, "l_e": 0.0}
+    for ex in batch:
+        t = int(rng.integers(schedule.steps))
+        eps = rng.standard_normal(ex.x0.shape)
+        x_t = q_sample(ex.x0, t, eps, schedule)
+        bundle = fu.encode_conditions(model.fusion, ex.audio, ex.text,
+                                      ex.style_id, ex.emotion_id, x_t, t)
+        target_s, target_e = bundle.f_s, bundle.f_e
+        bundle.f_s, bundle.f_e = fu.mask_conditions(bundle.f_s, bundle.f_e,
+                                                    model.fusion.spec.mask_prob, rng)
+        out = fu.fusion_forward(model.fusion, bundle)
+        x0_hat = dn.denoiser_forward(model.denoiser, out.f_fuse)
+        l_g = ad.huber_loss(x0_hat - ad.tensor(ex.x0), huber_delta)
+        if out.disentangled is not None:
+            l_s, l_e = fu.style_emotion_losses(out.disentangled, target_s, target_e)
+        else:
+            l_s = l_e = ad.tensor(0.0)
+        total_parts.append(l_g + l_s + l_e)
+        sums["l_g"] += float(l_g.value)
+        sums["l_s"] += float(l_s.value)
+        sums["l_e"] += float(l_e.value)
+    n = len(batch)
+    total = total_parts[0]
+    for p in total_parts[1:]:
+        total = total + p
+    total = total / n
+    total.backward()
+    optimizer.step()
+    return {"l_total": float(total.value),
+            "l_g": sums["l_g"] / n, "l_s": sums["l_s"] / n, "l_e": sums["l_e"] / n}
+
+
+@pytest.mark.parametrize("mode,toggles", [
+    (fu.SA, {}), (fu.SEA, {}), (fu.SEAD_BASIC, {}), (fu.SEAD, {}),
+    (fu.SEAD, {"use_conv": True}), (fu.SEAD, {"use_attention": False}),
+    (fu.SEAD, {"use_mamba": False})], ids=str)
+def test_training_step_equals_one_graph_step_bit_for_bit(mode, toggles):
+    sch = build_schedule(10, 1e-4, 0.2)
+    runs = []
+    for step in (dn.training_step, _one_graph_step):
+        model = make_tiny_model(mode=mode, seed=3, **toggles)
+        for p in model.named().values():  # a larger init, so every gradient matters
+            p.value[...] += np.random.default_rng(4).normal(0, 0.3, p.value.shape)
+        opt = dn.AdamW(model.named(), lr=1e-2)
+        rng, data = np.random.default_rng(5), np.random.default_rng(6)
+        losses = [step(model, opt, make_batch(data, n=3), sch, rng) for _ in range(3)]
+        arrays = {k: p.value.tobytes() for k, p in model.named().items()}
+        arrays |= {f"{k}.m": a.tobytes() for k, a in opt.m.items()}
+        arrays |= {f"{k}.v": a.tobytes() for k, a in opt.v.items()}
+        skipped = {k for k, p in model.named().items() if p.grad is None}
+        runs.append((losses, arrays, skipped, opt.t))
+    assert runs[0] == runs[1]
+    assert bool(runs[0][2]) == (mode != fu.SEAD)  # the lower rungs leave some weights unreached
+
+
+def _step_peak_bytes(batch_size):
+    model = make_tiny_model()
+    opt = dn.AdamW(model.named(), lr=1e-3)
+    batch = make_batch(np.random.default_rng(0), n=batch_size, frames=40)
+    tracemalloc.start()
+    try:
+        dn.training_step(model, opt, batch, build_schedule(10, 1e-4, 0.2),
+                         np.random.default_rng(1))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_training_step_memory_does_not_grow_with_the_batch():
+    """Each clip's graph is freed after its backward, so the peak holds one clip's
+    graph plus one gradient per weight, whatever the batch size."""
+    assert _step_peak_bytes(8) <= 1.25 * _step_peak_bytes(1)
 
 
 def test_training_is_deterministic(rng):

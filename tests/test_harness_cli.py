@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gesturegen import cli, harness, metrics as mt, synthetic
-from gesturegen.errors import DataError, ParseError
+from gesturegen.errors import ConfigError, DataError, ParseError
 from gesturegen.fileio import read_checkpoint, read_features, write_checkpoint, write_features
 
 
@@ -297,6 +297,31 @@ def test_ablation_records_package_errors_and_raises_bugs(tmp_path, mini_cfg, mon
     monkeypatch.setattr(harness, "run_train", failing(RuntimeError("a bug")))
     with pytest.raises(RuntimeError, match="a bug"):
         harness.run_ablation(mini_cfg, tmp_path / "data", tmp_path / "b")
+
+
+def test_ablation_rejects_a_config_whose_every_eval_must_fail(tmp_path, mini_cfg, mini_corpus,
+                                                             monkeypatch, capsys):
+    """An eval needs 2 generated clips; 1 sample of 1 condition can never score, so
+    nothing may train. 2 samples of 1 condition can."""
+    def run_train(cfg, dataset_dir, out_dir):
+        raise DataError("trained")
+
+    monkeypatch.setattr(harness, "run_train", run_train)
+    cfg = mini_cfg | {"sample.n": 1, "sample.max_conditions": 1}
+    with pytest.raises(ConfigError, match=r"sample\.n = 1 and sample\.max_conditions = 1 give 1 "):
+        harness.run_ablation(cfg, mini_corpus, tmp_path / "a")
+    assert not (tmp_path / "a").exists()
+
+    conf = tmp_path / "one.cfg"
+    conf.write_text(f"data.dir = {mini_corpus}\nsample.n = 1\nsample.max_conditions = 1\n")
+    assert cli.main(["ablate", "--config", str(conf), "--out", str(tmp_path / "b")]) == 2
+    err = capsys.readouterr().err
+    assert "sample.n" in err and "sample.max_conditions" in err
+    assert not (tmp_path / "b").exists()
+
+    rows = harness.run_ablation(mini_cfg | {"sample.n": 2, "sample.max_conditions": 1},
+                                mini_corpus, tmp_path / "c")
+    assert all(r["error"] == "DataError: trained" for r in rows)
 
 
 # -- CLI ----------------------------------------------------------------
