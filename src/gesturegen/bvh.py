@@ -3,11 +3,12 @@ segmentation, and joint-subset selection.
 
 Layout convention: the root translation occupies pseudo-joint index 0 of
 the selection layout; rotation joint j of the skeleton is index j + 1.
-Files carry degrees; matrix conversions happen in radians internally.
+A clip's rotation width is its representation: 3 for Euler degrees, as in
+files, 9 for row-major matrices; conversions work in radians internally.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -19,9 +20,6 @@ from .rotations import euler_to_rotmat, nearest_rotation, rotmat_to_euler
 
 _POSITION_CHANNELS = {"Xposition", "Yposition", "Zposition"}
 _ROTATION_CHANNELS = {"Xrotation", "Yrotation", "Zrotation"}
-
-EULER_DEGREES = "euler-degrees"
-ROTMAT9 = "rotmat9"
 
 
 @dataclass
@@ -56,7 +54,6 @@ class Skeleton:
 class JointLayout:
     names: list  # rotation-joint names, hierarchy order
     orders: list  # per-joint channel-order tags, e.g. "ZXY"
-    rep: str = EULER_DEGREES
 
     @property
     def joint_count(self):
@@ -67,7 +64,7 @@ class JointLayout:
 class MotionClip:
     fps: float
     root_translation: np.ndarray  # F x 3
-    rotations: np.ndarray  # F x J x 3 (euler-degrees) or F x J x 9 (rotmat9)
+    rotations: np.ndarray  # F x J x 3 (Euler degrees) or F x J x 9 (rotation matrices)
     layout: JointLayout
 
     def __post_init__(self):
@@ -77,10 +74,9 @@ class MotionClip:
             raise ShapeError(f"fps must be positive, got {self.fps}")
         if self.rotations.ndim != 3 or self.rotations.shape[0] < 1:
             raise ShapeError(f"rotations must be F x J x width with F >= 1, got {self.rotations.shape}")
-        width = 9 if self.layout.rep == ROTMAT9 else 3
-        if self.rotations.shape[1] != self.layout.joint_count or self.rotations.shape[2] != width:
+        if self.rotations.shape[1] != self.layout.joint_count or self.rotations.shape[2] not in (3, 9):
             raise ShapeError(f"rotations {self.rotations.shape} do not match layout "
-                             f"({self.layout.joint_count} joints, width {width})")
+                             f"({self.layout.joint_count} joints, width 3 or 9)")
         if self.root_translation.shape != (self.rotations.shape[0], 3):
             raise ShapeError(f"root translation {self.root_translation.shape} does not match frame count")
 
@@ -114,7 +110,7 @@ def parse_bvh(text: str):
     """Parse a complete BVH document into (Skeleton, MotionClip).
 
     Every joint must carry exactly 3 rotation channels, one per axis; the
-    root may add 3 position channels. The clip comes back tagged euler-degrees.
+    root may add 3 position channels. The clip comes back in Euler degrees.
     """
     lines = text.replace("\r\n", "\n").split("\n")
     toks = [(i + 1, line.split()) for i, line in enumerate(lines) if line.split()]
@@ -148,7 +144,7 @@ def parse_bvh(text: str):
         ln, words = take("OFFSET")
         if len(words) != 4:
             raise ParseError("OFFSET needs 3 values", line=ln)
-        offset = _floats(words[1:], ln)
+        offset = _finite(_floats(words[1:], ln), [ln])
         ln, words = take("CHANNELS")
         try:
             n = int(words[1])
@@ -178,7 +174,7 @@ def parse_bvh(text: str):
                 take("End")
                 take("{")
                 ln, words = take("OFFSET")
-                end_sites[idx] = _floats(words[1:], ln)
+                end_sites[idx] = _finite(_floats(words[1:], ln), [ln])
                 take("}")
             elif words[0] == "}":
                 take("}")
@@ -201,11 +197,12 @@ def parse_bvh(text: str):
     if len(words) < 3 or words[1] != "Time:":
         raise ParseError("expected 'Frame Time:'", line=ln)
     frame_time = _floats(words[2:3], ln)[0]
-    if frame_time <= 0:
-        raise ParseError("frame time must be positive", line=ln)
+    if not 0 < frame_time < np.inf:
+        raise ParseError(f"frame time must be finite and positive, got {words[2]}", line=ln)
 
     n_channels = sum(len(j.channels) for j in joints)
     data = np.zeros((n_frames, n_channels))
+    first = pos
     for f in range(n_frames):
         if pos >= len(toks):
             raise ParseError(f"expected {n_frames} frames, found {f}", line=len(lines))
@@ -213,6 +210,7 @@ def parse_bvh(text: str):
         if len(words) != n_channels:
             raise ParseError(f"frame has {len(words)} values, expected {n_channels}", line=ln)
         data[f] = _floats(words, ln)
+    _finite(data, [line for line, _ in toks[first:pos]])  # once per clip, not per frame
     if pos < len(toks):
         ln, words = peek()
         raise ParseError(f"trailing content after {n_frames} frames", line=ln)
@@ -221,7 +219,7 @@ def parse_bvh(text: str):
     root_translation = np.zeros((n_frames, 3))
     root_translation[:, pos_axes] = data[:, pos_cols]
     rotations = data[:, rot_cols].reshape(n_frames, len(joints), 3)
-    layout = JointLayout(skeleton.joint_names(), skeleton.rotation_orders(), EULER_DEGREES)
+    layout = JointLayout(skeleton.joint_names(), skeleton.rotation_orders())
     clip = MotionClip(1.0 / frame_time, root_translation, rotations, layout)
     return skeleton, clip
 
@@ -265,13 +263,23 @@ def _floats(words, ln):
         raise ParseError(f"non-numeric value: {e}", line=ln)
 
 
+def _finite(values, lines):
+    """`values`, whose row i was read from line `lines[i]`, or a ParseError at
+    the first of those lines that holds a NaN or an infinity."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        row = finite.reshape(len(lines), -1).all(axis=1).argmin()
+        raise ParseError("non-finite value", line=lines[row])
+    return values
+
+
 # -- writing ------------------------------------------------------------
 
 
 def write_bvh(skeleton: Skeleton, clip: MotionClip) -> str:
     """Emit HIERARCHY + MOTION text (6 decimals, LF line endings)."""
-    if clip.layout.rep != EULER_DEGREES:
-        raise ShapeError("write_bvh requires an euler-degrees clip; convert rotmat9 first")
+    if clip.rotations.shape[2] != 3:
+        raise ShapeError("write_bvh requires an Euler-degrees clip; convert rotation matrices first")
     if clip.layout.joint_count != len(skeleton.joints):
         raise ShapeError(f"clip has {clip.layout.joint_count} joints, skeleton {len(skeleton.joints)}")
 
@@ -321,27 +329,25 @@ def _fmt(values):
 
 def clip_to_rotmat(clip: MotionClip) -> MotionClip:
     """Euler-degrees clip -> flattened 3x3 rotation matrices per joint."""
-    if clip.layout.rep == ROTMAT9:
+    if clip.rotations.shape[2] == 9:
         return clip
     F, J = clip.frames, clip.layout.joint_count
     rot = np.zeros((F, J, 9))
     for ji, order in enumerate(clip.layout.orders):  # one rotation order per joint
         rot[:, ji] = euler_to_rotmat(clip.rotations[:, ji], order).reshape(F, 9)
-    layout = replace(clip.layout, rep=ROTMAT9)
-    return MotionClip(clip.fps, clip.root_translation.copy(), rot, layout)
+    return MotionClip(clip.fps, clip.root_translation.copy(), rot, clip.layout)
 
 
 def clip_to_euler(clip: MotionClip) -> MotionClip:
-    """Rotmat9 clip -> euler-degrees; each block must already be a rotation
+    """Rotation-matrix clip -> Euler degrees; each block must already be a rotation
     (`features_to_clip` snaps them)."""
-    if clip.layout.rep == EULER_DEGREES:
+    if clip.rotations.shape[2] == 3:
         return clip
     F, J = clip.frames, clip.layout.joint_count
     rot = np.zeros((F, J, 3))
     for ji, order in enumerate(clip.layout.orders):  # one rotation order per joint
         rot[:, ji] = rotmat_to_euler(clip.rotations[:, ji].reshape(F, 3, 3), order)
-    layout = replace(clip.layout, rep=EULER_DEGREES)
-    return MotionClip(clip.fps, clip.root_translation.copy(), rot, layout)
+    return MotionClip(clip.fps, clip.root_translation.copy(), rot, clip.layout)
 
 
 # -- temporal ops -------------------------------------------------------
@@ -382,7 +388,7 @@ def select_joints(clip: MotionClip, subset: JointSubset) -> MotionClip:
         raise ValueError("subset selects no rotation joints")
     trans = clip.root_translation.copy() if keep_translation else np.zeros((clip.frames, 3))
     layout = JointLayout([clip.layout.names[i] for i in rot_idx],
-                         [clip.layout.orders[i] for i in rot_idx], clip.layout.rep)
+                         [clip.layout.orders[i] for i in rot_idx])
     return MotionClip(clip.fps, trans, clip.rotations[:, rot_idx].copy(), layout)
 
 
@@ -406,7 +412,7 @@ def load_joint_subset(text: str, layout: JointLayout, name: str = "subset") -> J
 
 
 def clip_to_features(clip: MotionClip) -> np.ndarray:
-    """Rotmat9 clip -> F x (3 + 9J): translation then row-major blocks."""
+    """Clip -> F x (3 + 9J): translation then row-major rotation-matrix blocks."""
     rm = clip_to_rotmat(clip)
     F = rm.frames
     return np.concatenate([rm.root_translation, rm.rotations.reshape(F, -1)], axis=1)
@@ -423,4 +429,4 @@ def features_to_clip(features: np.ndarray, fps: float, layout: JointLayout,
     rot = features[:, 3:].reshape(F, J, 9)
     if orthonormalize:
         rot = nearest_rotation(rot.reshape(F, J, 3, 3)).reshape(F, J, 9)
-    return MotionClip(fps, features[:, :3].copy(), rot, replace(layout, rep=ROTMAT9))
+    return MotionClip(fps, features[:, :3].copy(), rot, layout)

@@ -10,7 +10,7 @@ import sys
 
 from .config import PRESETS, load_config
 from .errors import ConfigError, DataError, GeometryError, NumericalError, ShapeError
-from .harness import run_ablation, run_eval, run_sample, run_train
+from .harness import METRIC_COLUMNS, run_ablation, run_eval, run_sample, run_train
 from .synthetic import SyntheticSpec, gen_synthetic_dataset
 
 
@@ -57,7 +57,7 @@ def main(argv=None) -> int:
             _require(cfg, "data.dir")
             _require(cfg, "data.gen_dir")
             report = run_eval(cfg["data.gen_dir"], cfg["data.dir"], cfg, out_dir=args.out)
-            for key in ("fgd", "diversity", "l1div", "srgr", "beat_align"):
+            for key in METRIC_COLUMNS:
                 print(f"{key}={report[key]}")
         elif args.command == "ablate":
             _require(cfg, "data.dir")

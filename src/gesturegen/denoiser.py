@@ -43,10 +43,12 @@ class DenoiserWeights(ad.Params):
     proj_b: Tensor
 
 
-def _init_block(spec: fu.ModelSpec, rng: np.random.Generator,
-                init_std: float = 0.02) -> MambaAttnBlockWeights:
+_INIT_STD = 0.02  # of every Gaussian weight init in the denoiser
+
+
+def _init_block(spec: fu.ModelSpec, rng: np.random.Generator) -> MambaAttnBlockWeights:
     d = spec.d
-    t = lambda shape: ad.tensor(rng.normal(0.0, init_std, shape))
+    t = lambda shape: ad.tensor(rng.normal(0.0, _INIT_STD, shape))
     attn = spec.use_attention
     return MambaAttnBlockWeights(  # the keyword order is the RNG draw order
         ln1_gamma=ad.tensor(np.ones(d)), ln1_beta=ad.tensor(np.zeros(d)),
@@ -55,7 +57,7 @@ def _init_block(spec: fu.ModelSpec, rng: np.random.Generator,
         w_v=t((d, d)) if attn else None,
         w_o=t((d, d)) if attn else None,
         mamba=ssm.init_mamba_block(d, rng, spec.n_state, spec.expand,
-                                   spec.mamba_conv_width, init_std)
+                                   spec.mamba_conv_width, _INIT_STD)
         if spec.use_mamba else None,
         ln2_gamma=ad.tensor(np.ones(d)), ln2_beta=ad.tensor(np.zeros(d)),
         conv_kernel=t((spec.block_conv_width, d)) if spec.use_conv else None,
@@ -64,10 +66,10 @@ def _init_block(spec: fu.ModelSpec, rng: np.random.Generator,
 
 
 def build_variant(spec: fu.ModelSpec, seed: int) -> DenoiserWeights:
-    """Seeded Gaussian init (std 0.02), layer norms at identity."""
+    """Seeded Gaussian init (std `_INIT_STD`), layer norms at identity."""
     rng = np.random.default_rng(seed)
     blocks = [_init_block(spec, rng) for _ in range(spec.layers)]
-    proj_w = ad.tensor(rng.normal(0.0, 0.02, (spec.d, spec.gesture_dim)))
+    proj_w = ad.tensor(rng.normal(0.0, _INIT_STD, (spec.d, spec.gesture_dim)))
     proj_b = ad.tensor(np.zeros(spec.gesture_dim))
     return DenoiserWeights(spec, blocks, proj_w, proj_b)
 

@@ -76,8 +76,7 @@ def run_train(cfg: dict, dataset_dir, out_dir) -> dict:
         for step in range(cfg["train.steps"]):
             batch_idx = rng.choice(len(dataset.records), size=min(cfg["train.batch"], len(dataset.records)),
                                    replace=False)
-            batch = [dn.TrainExample(r.x0, r.audio, r.text, r.style_id, r.emotion_id)
-                     for r in (dataset.records[i] for i in batch_idx)]
+            batch = [dataset.records[i] for i in batch_idx]
             try:
                 losses = dn.training_step(model, opt, batch, schedule, rng,
                                           huber_delta=cfg["train.huber_delta"])
@@ -85,8 +84,7 @@ def run_train(cfg: dict, dataset_dir, out_dir) -> dict:
                 if rows:
                     save(step)
                 raise
-            row = [step, losses["l_total"], losses["l_g"], losses["l_s"], losses["l_e"]]
-            writer.writerow([row[0]] + [f"{v:.10f}" for v in row[1:]])
+            writer.writerow([step] + [f"{losses[k]:.10f}" for k in LOSS_HEADER[1:]])
             rows.append(losses)
     save(cfg["train.steps"])
     return {"loss_rows": rows, "checkpoint": ckpt_path, "loss_log": log_path}
@@ -149,8 +147,9 @@ def run_sample(checkpoint_path, conditions_dir, n: int, seed: int, out_dir,
 def get_extractor(ref_dataset_dir, cfg: dict):
     """Train (or load a cached) reconstruction feature extractor on the
     reference corpus. The cache `<ref>/fgd_extractor.ckpt` is reused only if it reads,
-    its seed, steps and hidden width match `cfg`, and its `corpus` digest (sha256 of
-    the clips' `x0` bytes in record order) matches; otherwise it is retrained and overwritten."""
+    its seed, steps and hidden width match `cfg`, its `corpus` digest (sha256 of the
+    clips' `x0` bytes in record order) matches, and its arrays are the extractor's
+    weights by name and shape; otherwise it is retrained and overwritten."""
     ref = load_dataset(ref_dataset_dir)
     cache = Path(ref_dataset_dir) / "fgd_extractor.ckpt"
     key = {"seed": cfg["seed"], "steps": cfg["eval.extractor_steps"],
@@ -159,13 +158,16 @@ def get_extractor(ref_dataset_dir, cfg: dict):
     for r in ref.records:
         corpus.update(r.x0.tobytes())
     header = key | {"corpus": corpus.hexdigest()}
+    frames, dim = ref.records[0].x0.shape
     try:
         arrays, meta, _ = read_checkpoint(cache)
     except (OSError, ParseError):  # absent or unreadable: a miss
-        meta = None
-    if meta == {k: str(v) for k, v in header.items()}:
+        arrays, meta = {}, None
+    shapes = {k: v.shape for k, v in arrays.items()}
+    if (meta == {k: str(v) for k, v in header.items()}
+            and shapes == mt.FeatureExtractor.weight_shapes(frames, dim, key["hidden"])):
         weights = {k: ad.tensor(v) for k, v in arrays.items()}
-        return mt.FeatureExtractor(*ref.records[0].x0.shape, hidden=key["hidden"], **weights), ref
+        return mt.FeatureExtractor(frames, dim, key["hidden"], **weights), ref
     ext, _ = mt.train_fgd_extractor([r.x0 for r in ref.records], **key)
     write_checkpoint(cache, {k: p.value for k, p in ext.named().items()}, header, key["steps"])
     return ext, ref

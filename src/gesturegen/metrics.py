@@ -27,14 +27,22 @@ class FeatureExtractor(ad.Params):
     frames: int
     dim: int
     hidden: int
-    enc_w1: Tensor  # (3*dim) x hidden, conv over a 3-frame window
+    enc_w1: Tensor
     enc_b1: Tensor
-    enc_w2: Tensor  # hidden x LATENT_DIM, per-frame then mean-pooled
+    enc_w2: Tensor
     enc_b2: Tensor
-    dec_w1: Tensor  # LATENT_DIM x hidden
+    dec_w1: Tensor
     dec_b1: Tensor
-    dec_w2: Tensor  # hidden x (frames*dim)
+    dec_w2: Tensor
     dec_b2: Tensor
+
+    @staticmethod
+    def weight_shapes(frames: int, dim: int, hidden: int) -> dict:
+        """Each weight's shape, in field order."""
+        return {"enc_w1": (3 * dim, hidden), "enc_b1": (hidden,),  # conv over a 3-frame window
+                "enc_w2": (hidden, LATENT_DIM), "enc_b2": (LATENT_DIM,),  # per frame, then mean-pooled
+                "dec_w1": (LATENT_DIM, hidden), "dec_b1": (hidden,),
+                "dec_w2": (hidden, frames * dim), "dec_b2": (frames * dim,)}
 
     def _stack3(self, x: Tensor) -> Tensor:
         # frame t sees frames t-1, t, t+1 (edge frames repeated)
@@ -85,14 +93,10 @@ def train_fgd_extractor(clips, seed: int, steps: int = 500, hidden: int = 64):
         raise DataError("extractor training needs at least 2 clips")
     frames, dim = mats[0].shape
     rng = np.random.default_rng(seed)
-    t = lambda shape: ad.tensor(rng.normal(0.0, 0.05, shape))
-    ext = FeatureExtractor(
-        frames=frames, dim=dim, hidden=hidden,
-        enc_w1=t((3 * dim, hidden)), enc_b1=ad.tensor(np.zeros(hidden)),
-        enc_w2=t((hidden, LATENT_DIM)), enc_b2=ad.tensor(np.zeros(LATENT_DIM)),
-        dec_w1=t((LATENT_DIM, hidden)), dec_b1=ad.tensor(np.zeros(hidden)),
-        dec_w2=t((hidden, frames * dim)), dec_b2=ad.tensor(np.zeros(frames * dim)),
-    )
+    # matrices are drawn in field order; biases start at zero
+    ext = FeatureExtractor(frames, dim, hidden, **{
+        k: ad.tensor(rng.normal(0.0, 0.05, shape) if len(shape) == 2 else np.zeros(shape))
+        for k, shape in FeatureExtractor.weight_shapes(frames, dim, hidden).items()})
     opt = AdamW(ext.named(), lr=1e-3, weight_decay=0.0)
     history = []
     for step in range(steps):

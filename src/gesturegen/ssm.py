@@ -1,10 +1,10 @@
 """Selective state-space sequence modeling.
 
 Continuous diagonal SSM, its discretization, the input-dependent scan in
-sequential and fused forms (both differentiable; the forward-only numpy
-form is the sequential one under `autodiff.no_grad`), and the gated Mamba
-block that wires them together. Both scans share one linear recurrence:
-forward for the states, and over the reversed sequence for the adjoint.
+sequential and fused forms (both differentiable, and graph-free under
+`autodiff.no_grad`), and the gated Mamba block that wires them together.
+Both scans share one linear recurrence: forward for the states, and over
+the reversed sequence for the adjoint.
 """
 from __future__ import annotations
 
@@ -91,14 +91,6 @@ def selective_scan_seq(abar: Tensor, bbar: Tensor, cmat: Tensor, d: Tensor, u: T
     return Tensor(y, (abar, bbar, cmat, d, u), bwd)
 
 
-def selective_scan_parallel(abar: np.ndarray, bbar: np.ndarray, cmat: np.ndarray,
-                            d: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Forward-only `selective_scan_seq` (numpy in, numpy out): the same scan under
-    `ad.no_grad`, so the same shapes, checks and bits."""
-    with ad.no_grad():
-        return selective_scan_seq(abar, bbar, cmat, d, u).value
-
-
 def selective_scan_fused(delta: Tensor, b_proj: Tensor, c_proj: Tensor,
                          a: Tensor, d_skip: Tensor, u: Tensor) -> Tensor:
     """Input-dependent scan with the ZOH discretization folded in.
@@ -179,10 +171,6 @@ class MambaBlockWeights(ad.Params):
     w_out: Tensor      # d_inner x d
 
     @property
-    def d_model(self) -> int:
-        return self.w_in.value.shape[0]
-
-    @property
     def d_inner(self) -> int:
         return self.w_out.value.shape[0]
 
@@ -214,9 +202,6 @@ def mamba_block_forward(weights: MambaBlockWeights, x: Tensor) -> Tensor:
     Causality holds end to end: frame k of the output depends only on
     input frames <= k.
     """
-    x = ad._as_tensor(x)
-    if x.value.ndim != 2 or x.value.shape[1] != weights.d_model:
-        raise ShapeError(f"input {x.value.shape} does not match block width {weights.d_model}")
     di = weights.d_inner
 
     xz = ad.matmul(x, weights.w_in)

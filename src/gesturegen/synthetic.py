@@ -17,6 +17,7 @@ import numpy as np
 
 from .bvh import (BvhJoint, JointLayout, MotionClip, Skeleton, clip_to_features,
                   read_bvh_dir, write_bvh)
+from .denoiser import TrainExample
 from .errors import DataError, ParseError
 from .fileio import (read_features, read_float_lines, read_key_values, write_features,
                      write_float_lines, write_key_values)
@@ -128,14 +129,11 @@ def gen_synthetic_dataset(spec: SyntheticSpec, out_dir) -> list:
 
 
 @dataclass
-class ClipRecord:
+class ClipRecord(TrainExample):
+    """A corpus clip: its training example plus its name, parsed clip and beat onsets."""
+
     name: str
-    clip: MotionClip          # euler-degrees, as parsed
-    x0: np.ndarray            # F x (3 + 9J) gesture features
-    audio: np.ndarray
-    text: np.ndarray
-    style_id: int
-    emotion_id: int
+    clip: MotionClip  # Euler degrees, as parsed
     onsets: np.ndarray
 
 

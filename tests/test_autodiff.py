@@ -68,6 +68,16 @@ def test_attention_against_brute_force(rng):
     assert np.allclose(got, want, atol=1e-12)
 
 
+@pytest.mark.parametrize("q_shape,k_shape,v_shape", [
+    ((5, 4), (6, 3), (6, 3)),  # query/key widths differ
+    ((5, 4), (6, 4), (5, 3)),  # key/value lengths differ
+    ((5, 4), (0, 4), (0, 3)),  # no keys
+])
+def test_attention_shape_errors(q_shape, k_shape, v_shape):
+    with pytest.raises(ShapeError):
+        ad.scaled_dot_attention(np.ones(q_shape), np.ones(k_shape), np.ones(v_shape))
+
+
 def test_causal_conv_values_and_causality(rng):
     x = rng.normal(0, 1, (8, 2))
     kern = rng.normal(0, 1, (3, 2))

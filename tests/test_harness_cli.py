@@ -182,6 +182,26 @@ def test_cold_and_warm_eval_reports_are_equal(tmp_path, mini_cfg):
     assert harness.run_eval(gen, ref, cfg) == cold
 
 
+@pytest.mark.parametrize("edit", [lambda a: a.pop("dec_b2"),
+                                  lambda a: a.update(junk=np.zeros(2)),
+                                  lambda a: a.update(enc_b1=np.zeros(3))],
+                         ids=["missing-array", "extra-array", "other-shape"])
+def test_extractor_cache_with_other_arrays_is_retrained(tmp_path, mini_cfg, edit):
+    ref, gen = tmp_path / "ref", tmp_path / "gen"
+    for seed, corpus in ((3, ref), (4, gen)):
+        spec = synthetic.SyntheticSpec(n_clips=3, frames=20, joints=2, seed=seed)
+        synthetic.gen_synthetic_dataset(spec, corpus)
+    cfg = dict(mini_cfg, **{"eval.extractor_steps": 5, "eval.extractor_hidden": 8})
+    cold = harness.run_eval(gen, ref, cfg)
+    cache = ref / "fgd_extractor.ckpt"
+    arrays, header, step = read_checkpoint(cache)
+    shapes = {k: v.shape for k, v in arrays.items()}
+    edit(arrays)
+    write_checkpoint(cache, arrays, header, step)
+    assert harness.run_eval(gen, ref, cfg) == cold
+    assert {k: v.shape for k, v in read_checkpoint(cache)[0].items()} == shapes
+
+
 @pytest.mark.parametrize("patch", [{"frames": 24}, {"joints": 3}], ids=["frames", "joints"])
 def test_run_eval_rejects_a_generated_corpus_of_another_shape(tmp_path, mini_cfg, patch):
     """Every scored clip has the reference's (frames, 3 + 9J) shape, so every clip has an SRGR."""
@@ -501,6 +521,29 @@ def test_cli_names_the_labels_file_of_an_out_of_range_id(tmp_path, mini_corpus, 
     assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith(f"data error: {path}: ")
     assert not (out / "loss.csv").exists() and not list(out.glob("*.bvh"))
+
+
+@pytest.mark.parametrize("prefix, below, word, value", [
+    ("Frame Time:", 0, 2, "nan"),
+    ("Frame Time:", 0, 2, "inf"),
+    ("OFFSET", 0, 2, "-inf"),
+    ("Frame Time:", 5, 4, "nan"),  # a channel value of the fifth frame
+], ids=["frame-time-nan", "frame-time-inf", "offset-inf", "channel-nan"])
+def test_cli_names_the_bvh_line_of_a_non_finite_number(tmp_path, mini_corpus, capsys,
+                                                        prefix, below, word, value):
+    gen = _corpus_copy(tmp_path, mini_corpus, "gen")
+    path = gen / "clip_0001.bvh"
+    lines = path.read_text().split("\n")
+    i = below + next(i for i, line in enumerate(lines) if line.strip().startswith(prefix))
+    words = lines[i].split()
+    words[word] = value
+    lines[i] = " ".join(words)
+    path.write_text("\n".join(lines))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"data.dir = {mini_corpus}\ndata.gen_dir = {gen}\n"
+                   "eval.extractor_steps = 30\n")
+    assert cli.main(["eval", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith(f"data error: {path}: line {i + 1}: ")
 
 
 def _cut_features(path, rows=None, cols=None):

@@ -10,8 +10,7 @@ from gesturegen.synthetic import chain_skeleton
 def _clip(rotations, fps=30.0):
     rotations = np.asarray(rotations, dtype=np.float64)
     J = rotations.shape[1]
-    rep = bvh.ROTMAT9 if rotations.shape[2] == 9 else bvh.EULER_DEGREES
-    layout = bvh.JointLayout([f"j{i}" for i in range(J)], ["ZXY"] * J, rep)
+    layout = bvh.JointLayout([f"j{i}" for i in range(J)], ["ZXY"] * J)
     return bvh.MotionClip(fps, np.zeros((rotations.shape[0], 3)), rotations, layout)
 
 

@@ -322,6 +322,8 @@ def test_motion_clip_invariants(rng):
         bvh.MotionClip(30.0, np.zeros((3, 3)), np.zeros((2, 1, 3)), layout)
     with pytest.raises(ShapeError):
         bvh.MotionClip(30.0, np.zeros((2, 3)), np.zeros((2, 2, 3)), layout)
+    with pytest.raises(ShapeError):  # neither Euler angles (3) nor matrices (9)
+        bvh.MotionClip(30.0, np.zeros((2, 3)), np.zeros((2, 1, 6)), layout)
 
 
 def test_skeleton_invariants():
