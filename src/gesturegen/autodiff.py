@@ -3,7 +3,10 @@
 Every differentiable operation used by the models lives here as a small
 numpy kernel with an explicit backward function. There is no taping DSL:
 each op builds one graph node, `Tensor(value, parents, bwd)`, whose
-closure knows how to push gradients to its parents.
+closure knows how to push gradients to its parents. `backward()` keeps a
+gradient only while it is live: an interior node's buffer exists from the
+first closure that writes it until its own closure has run, and afterwards
+only the leaves (weights, inputs) hold `.grad`.
 
 Inside `with no_grad():` the same ops compute the same values, but a node
 keeps neither its parents nor its closure, so the arrays a closure would
@@ -84,9 +87,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """A float64 array plus the accumulated gradient of a scalar loss.
 
-    `value` is immutable by convention after construction; `grad` is
-    populated by `backward()` on the loss node. Leaf tensors (weights,
-    inputs) have no parents; under `no_grad` no tensor keeps any.
+    `value` is immutable by convention after construction. After
+    `backward()` on a loss node, `grad` holds the gradient of each leaf
+    tensor (weights, inputs: no parents) and is None on every interior
+    node. Under `no_grad` no tensor keeps any parents.
     """
 
     __slots__ = ("value", "grad", "_parents", "_bwd")
@@ -124,21 +128,28 @@ class Tensor:
         return order
 
     def backward(self):
-        """Accumulate d(self)/d(leaf) into `.grad` over the whole graph.
+        """Set each reachable leaf's `.grad` to d(self)/d(leaf).
 
         Non-scalar outputs are seeded with ones (i.e. the gradient of
-        their sum). Grads of all reachable nodes are reset first, so
-        repeated calls do not accumulate across steps.
+        their sum). Every reachable node's grad is cleared first, so
+        repeated calls do not accumulate across steps. A parent's zero
+        buffer is made just before the first closure that writes it, and
+        an interior node drops its grad once its own closure has run, so
+        after the sweep only leaves hold `.grad`.
         """
         if not _grad_enabled:
             raise RuntimeError("backward() inside autodiff.no_grad(): no graph was recorded")
         order = self._topo()
         for node in order:
-            node.grad = np.zeros_like(node.value)
+            node.grad = None
         self.grad = np.ones_like(self.value)
         for node in reversed(order):
             if node._bwd is not None:
+                for p in node._parents:
+                    if p.grad is None:
+                        p.grad = np.zeros_like(p.value)
                 node._bwd(node.grad)
+                node.grad = None
 
     # -- operators ------------------------------------------------------
 

@@ -5,6 +5,7 @@ defaults; unknown keys are rejected so typos fail fast.
 """
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .errors import ConfigError
@@ -108,6 +109,9 @@ def load_config(path=None, preset: str = "toy", overrides: dict | None = None) -
             if key not in DEFAULTS:
                 raise ConfigError(f"unknown config key {key!r}")
             cfg[key] = _coerce(key, raw)
+    for key, value in cfg.items():  # NaN fails no range check below, so reject it here
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key} must be a finite number, got {value}")
     for key, least in MINIMUMS.items():
         if cfg[key] < least:
             raise ConfigError(f"{key} must be at least {least}, got {cfg[key]}")

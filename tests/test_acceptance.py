@@ -21,7 +21,7 @@ def _report(name, ok, detail=""):
 
 
 # ----------------------------------------------------------------------
-# 1. graph scan == graph-free scan == a plain per-step loop
+# 1. graph scan == graph-free scan == a plain per-step loop, for the fused scan the model runs
 
 
 def test_criterion_1_scan_equivalence(scan_oracle):
@@ -34,14 +34,17 @@ def test_criterion_1_scan_equivalence(scan_oracle):
         C, N = 2, 3
         delta = rng.uniform(0.05, 1.0, (L, C))
         a = -rng.uniform(0.2, 2.0, (C, N))
-        abar = np.exp(delta[:, :, None] * a[None])
-        bbar = rng.normal(0, 1, (L, C, N))
-        cmat = rng.normal(0, 1, (L, C, N))
+        b_proj = rng.normal(0, 1, (L, N))
+        c_proj = rng.normal(0, 1, (L, N))
         d = rng.normal(0, 1, C)
         u = rng.normal(0, 1, (L, C))
-        seq = ssm.selective_scan_seq(abar, bbar, cmat, d, u).value
+        seq = ssm.selective_scan_fused(delta, b_proj, c_proj, a, d, u).value
         with ad.no_grad():
-            par = ssm.selective_scan_seq(abar, bbar, cmat, d, u).value
+            par = ssm.selective_scan_fused(delta, b_proj, c_proj, a, d, u).value
+        # the loop takes the discretized per-channel parameters, formed here
+        abar = np.exp(delta[:, :, None] * a[None])
+        bbar = delta[:, :, None] * b_proj[:, None, :]
+        cmat = np.broadcast_to(c_proj[:, None, :], (L, C, N))
         loop = scan_oracle(abar, bbar, cmat, d, u)
         denom = max(1.0, np.abs(seq).max())
         worst = max(worst, float(np.abs(seq - par).max() / denom))
@@ -69,12 +72,10 @@ def test_criterion_2_convolution_equivalence():
         u = rng.normal(0, 1, L)
         kernel = ssm.ssm_impulse_kernel(sys, delta, L)
         y_conv = np.convolve(u, kernel)[:L] + sys.d * u
-        abar, bbar = ssm.discretize_zoh(sys.a, sys.b, delta)
-        with ad.no_grad():
-            y_scan = ssm.selective_scan_seq(
-                np.broadcast_to(abar, (L, 1, N)).copy(),
-                np.broadcast_to(bbar, (L, 1, N)).copy(),
-                np.broadcast_to(sys.c, (L, 1, N)).copy(),
+        with ad.no_grad():  # one channel, with constant delta, b and c
+            y_scan = ssm.selective_scan_fused(
+                np.full((L, 1), delta), np.broadcast_to(sys.b, (L, N)).copy(),
+                np.broadcast_to(sys.c, (L, N)).copy(), sys.a[None, :],
                 np.array([sys.d]), u[:, None]).value[:, 0]
         worst = max(worst, float(np.abs(y_conv - y_scan).max() / max(1.0, np.abs(y_conv).max())))
     dt = time.perf_counter() - t0

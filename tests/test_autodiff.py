@@ -1,8 +1,11 @@
 """Autodiff core: forward oracles and finite-difference gradient checks."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from gesturegen import autodiff as ad, ssm
+from gesturegen import autodiff as ad, denoiser as dn, fusion as fu, ssm
+from gesturegen.diffusion import build_schedule
 from gesturegen.errors import NumericalError, ShapeError
 
 
@@ -30,6 +33,63 @@ def test_backward_resets_between_calls(rng):
     first = x.grad.copy()
     loss.backward()
     assert np.array_equal(x.grad, first)  # no accumulation across calls
+
+
+def _backward_with_every_buffer_up_front(root):
+    """The oracle sweep: a zero gradient for every reachable node before any closure
+    runs, all kept until the sweep ends."""
+    order = root._topo()
+    for node in order:
+        node.grad = np.zeros_like(node.value)
+    root.grad = np.ones_like(root.value)
+    for node in reversed(order):
+        if node._bwd is not None:
+            node._bwd(node.grad)
+
+
+def test_clip_backward_keeps_leaf_gradient_bits_and_drops_interior_ones(monkeypatch):
+    spec = fu.ModelSpec(layers=1, d=8, gesture_dim=5, n_state=4, expand=2, use_conv=True,
+                        mamba_conv_width=2, block_conv_width=2, d_audio=4, d_text=3,
+                        n_styles=2, n_emotions=8, window=4, mode=fu.SEAD, mask_prob=0.1)
+    model = dn.build_model(spec, seed=0)
+    data = np.random.default_rng(1)
+    ex = dn.TrainExample(x0=data.normal(0, 1, (6, 5)), audio=data.normal(0, 1, (6, 4)),
+                         text=data.normal(0, 1, (6, 3)), style_id=1, emotion_id=3)
+    roots, backward = [], ad.Tensor.backward
+
+    def recording_backward(self):
+        roots.append(self)
+        backward(self)
+
+    monkeypatch.setattr(ad.Tensor, "backward", recording_backward)
+    dn._clip_backward(model, ex, build_schedule(10, 1e-4, 0.2), np.random.default_rng(2),
+                      1.0, 1, 0)
+    (root,) = roots
+    order = root._topo()
+    leaves = [node for node in order if node._bwd is None]
+    interior = [node for node in order if node._bwd is not None]
+    assert root._bwd is not None and len(interior) > 100
+    assert all(node.grad is None for node in interior)
+    live = [node.grad.tobytes() for node in leaves]
+    _backward_with_every_buffer_up_front(root)
+    assert [node.grad.tobytes() for node in leaves] == live
+
+
+def test_backward_peak_memory_does_not_grow_with_the_graph(rng):
+    """A chain of 64 elementwise ops: each interior gradient is freed once its closure
+    has run, so the sweep holds a few arrays at a time (5 here), not one per node."""
+    x = ad.tensor(rng.normal(0, 1, (128, 128)))
+    y = x
+    for _ in range(64):
+        y = ad.silu(y)
+    loss = y.sum()
+    tracemalloc.start()
+    try:
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * x.value.nbytes
 
 
 def test_broadcast_add_gradient(rng):

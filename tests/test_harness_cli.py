@@ -465,6 +465,24 @@ def test_cli_exit_codes(tmp_path, mini_corpus, capsys):
         assert not out.exists(), line
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, key", [("train", "train.lr"), ("train", "train.weight_decay"),
+                                          ("eval", "eval.sigma"), ("train", "train.huber_delta"),
+                                          ("gen-synthetic", "synthetic.fps")])
+def test_cli_rejects_a_non_finite_config_value(tmp_path, mini_corpus, capsys, command, key, value):
+    """NaN passes every range check, so each float key is checked to be finite, before any work."""
+    base = {"train": f"data.dir = {mini_corpus}\ntrain.steps = 1\nmodel.layers = 1\n",
+            "eval": (f"data.dir = {mini_corpus}\ndata.gen_dir = {mini_corpus}\n"
+                     "eval.extractor_steps = 30\n"),
+            "gen-synthetic": ""}[command]
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{base}{key} = {value}\n")
+    out = tmp_path / "never"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key} must be a finite number")
+    assert not out.exists()
+
+
 def _corpus_copy(tmp_path, mini_corpus, name):
     copy = tmp_path / name
     shutil.copytree(mini_corpus, copy)
