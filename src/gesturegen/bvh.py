@@ -8,7 +8,9 @@ files, 9 for row-major matrices; conversions work in radians internally.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -20,6 +22,7 @@ from .rotations import euler_to_rotmat, nearest_rotation, rotmat_to_euler
 
 _POSITION_CHANNELS = {"Xposition", "Yposition", "Zposition"}
 _ROTATION_CHANNELS = {"Xrotation", "Yrotation", "Zrotation"}
+_CHANNELS = _POSITION_CHANNELS | _ROTATION_CHANNELS
 
 
 @dataclass
@@ -112,39 +115,44 @@ def parse_bvh(text: str):
     Every joint must carry exactly 3 rotation channels, one per axis; the
     root may add 3 position channels. The clip comes back in Euler degrees.
     """
-    lines = text.replace("\r\n", "\n").split("\n")
-    toks = [(i + 1, line.split()) for i, line in enumerate(lines) if line.split()]
+    if "\r" in text:  # CRLF line ends; a lone CR stays inside its line
+        text = text.replace("\r\n", "\n")
+    lines = text.split("\n")
+    toks = [(ln, words) for ln, words in enumerate(map(str.split, lines), 1) if words]
     pos = 0
-
-    def peek():
-        return toks[pos] if pos < len(toks) else (len(lines), ["<eof>"])
 
     def take(expect=None):
         nonlocal pos
-        ln, words = peek()
         if pos >= len(toks):
-            raise ParseError("unexpected end of file", line=ln)
+            raise ParseError("unexpected end of file", line=len(lines))
+        ln, words = toks[pos]
         if expect is not None and words[0] != expect:
             raise ParseError(f"expected {expect!r}, found {words[0]!r}", line=ln)
         pos += 1
         return ln, words
 
-    take("HIERARCHY")
-    joints: list = []
-    end_sites: dict = {}
-
-    def parse_joint(parent):
-        ln, words = take()
-        if words[0] not in ("ROOT", "JOINT") or len(words) < 2:
-            raise ParseError(f"expected ROOT/JOINT declaration, found {' '.join(words)!r}", line=ln)
-        if words[0] == "ROOT" and parent is not None:
-            raise ParseError("ROOT inside hierarchy", line=ln)
-        name = words[1]
-        take("{")
+    def take_offset():
         ln, words = take("OFFSET")
         if len(words) != 4:
             raise ParseError("OFFSET needs 3 values", line=ln)
-        offset = _finite(_floats(words[1:], ln), [ln])
+        values = _floats(words[1:], ln)
+        if not all(map(math.isfinite, values)):
+            raise ParseError("non-finite value", line=ln)
+        return np.array(values)
+
+    take("HIERARCHY")
+    joints: list = []
+    orders: list = []
+    end_sites: dict = {}
+    open_joints: list = []  # indices of the joints whose braces are open, innermost last
+    while True:  # one joint declaration per pass, then its body up to the next JOINT
+        ln, words = take()
+        if words[0] not in ("ROOT", "JOINT") or len(words) < 2:
+            raise ParseError(f"expected ROOT/JOINT declaration, found {' '.join(words)!r}", line=ln)
+        name = words[1]
+        parent = open_joints[-1] if open_joints else None
+        take("{")
+        offset = take_offset()
         ln, words = take("CHANNELS")
         try:
             n = int(words[1])
@@ -153,36 +161,36 @@ def parse_bvh(text: str):
         channels = words[2:]
         if len(channels) != n:
             raise ParseError(f"CHANNELS count {n} but {len(channels)} labels", line=ln)
-        bad = [c for c in channels if c not in _POSITION_CHANNELS | _ROTATION_CHANNELS]
+        bad = [c for c in channels if c not in _CHANNELS]
         if bad:
             raise ParseError(f"unknown channel labels {bad}", line=ln)
-        n_rot = sum(c in _ROTATION_CHANNELS for c in channels)
-        n_pos = n - n_rot
-        if n_rot != 3:
+        order = _rotation_order(channels)
+        if len(order) != 3:
             raise ParseError(f"joint {name!r} must have exactly 3 rotation channels", line=ln)
-        if len(set(_rotation_order(channels))) != 3:
+        if len(set(order)) != 3:
             raise ParseError(f"joint {name!r} repeats a rotation axis", line=ln)
+        n_pos = n - len(order)
         if n_pos not in (0, 3) or (n_pos == 3 and parent is not None):
             raise ParseError(f"position channels only allowed on the root (joint {name!r})", line=ln)
-        idx = len(joints)
+        open_joints.append(len(joints))
         joints.append(BvhJoint(name, parent, offset, channels))
-        while True:
-            ln, words = peek()
-            if words[0] in ("JOINT",):
-                parse_joint(idx)
-            elif words[0] == "End":
+        orders.append(order)
+        while open_joints:
+            ln, words = toks[pos] if pos < len(toks) else (len(lines), ["<eof>"])
+            if words[0] == "JOINT":
+                break
+            if words[0] == "End":
                 take("End")
                 take("{")
-                ln, words = take("OFFSET")
-                end_sites[idx] = _finite(_floats(words[1:], ln), [ln])
+                end_sites[open_joints[-1]] = take_offset()
                 take("}")
             elif words[0] == "}":
                 take("}")
-                return
+                open_joints.pop()
             else:
                 raise ParseError(f"unexpected token {words[0]!r} in hierarchy", line=ln)
-
-    parse_joint(None)
+        if not open_joints:
+            break
     skeleton = Skeleton(joints, end_sites)
 
     take("MOTION")
@@ -197,29 +205,31 @@ def parse_bvh(text: str):
     if len(words) < 3 or words[1] != "Time:":
         raise ParseError("expected 'Frame Time:'", line=ln)
     frame_time = _floats(words[2:3], ln)[0]
-    if not 0 < frame_time < np.inf:
+    if not 0 < frame_time < math.inf:
         raise ParseError(f"frame time must be finite and positive, got {words[2]}", line=ln)
 
+    # Errors keep the order of a frame-by-frame read: a frame's value count,
+    # then its numbers, then a missing frame; non-finite values and trailing
+    # content are checked once the frames are read.
     n_channels = sum(len(j.channels) for j in joints)
-    data = np.zeros((n_frames, n_channels))
-    first = pos
-    for f in range(n_frames):
-        if pos >= len(toks):
-            raise ParseError(f"expected {n_frames} frames, found {f}", line=len(lines))
-        ln, words = take()
-        if len(words) != n_channels:
-            raise ParseError(f"frame has {len(words)} values, expected {n_channels}", line=ln)
-        data[f] = _floats(words, ln)
-    _finite(data, [line for line, _ in toks[first:pos]])  # once per clip, not per frame
+    rows = toks[pos:pos + n_frames]
+    pos += len(rows)
+    counted = next((f for f, (_, words) in enumerate(rows) if len(words) != n_channels), len(rows))
+    data = _motion(rows[:counted], n_channels)
+    if counted < len(rows):
+        ln, words = rows[counted]
+        raise ParseError(f"frame has {len(words)} values, expected {n_channels}", line=ln)
+    if len(rows) < n_frames:
+        raise ParseError(f"expected {n_frames} frames, found {len(rows)}", line=len(lines))
+    _finite(data, [ln for ln, _ in rows])
     if pos < len(toks):
-        ln, words = peek()
-        raise ParseError(f"trailing content after {n_frames} frames", line=ln)
+        raise ParseError(f"trailing content after {n_frames} frames", line=toks[pos][0])
 
     pos_cols, pos_axes, rot_cols = _channel_columns(joints)
     root_translation = np.zeros((n_frames, 3))
     root_translation[:, pos_axes] = data[:, pos_cols]
     rotations = data[:, rot_cols].reshape(n_frames, len(joints), 3)
-    layout = JointLayout(skeleton.joint_names(), skeleton.rotation_orders())
+    layout = JointLayout([j.name for j in joints], orders)
     clip = MotionClip(1.0 / frame_time, root_translation, rotations, layout)
     return skeleton, clip
 
@@ -257,10 +267,24 @@ def _channel_columns(joints):
 
 
 def _floats(words, ln):
+    """`float` of each word, or a ParseError at line `ln` naming the first non-number."""
     try:
-        return np.array([float(w) for w in words])
+        return [float(w) for w in words]
     except ValueError as e:
         raise ParseError(f"non-numeric value: {e}", line=ln)
+
+
+def _motion(rows, width):
+    """The len(rows) x width array of `rows`, (line, words) pairs of `width`
+    words each, converted in one pass; a non-number is a ParseError at its line."""
+    try:
+        values = np.fromiter(map(float, chain.from_iterable(words for _, words in rows)),
+                             np.float64, len(rows) * width)
+    except ValueError:
+        for ln, words in rows:
+            _floats(words, ln)
+        raise
+    return values.reshape(len(rows), width)
 
 
 def _finite(values, lines):
@@ -289,25 +313,27 @@ def write_bvh(skeleton: Skeleton, clip: MotionClip) -> str:
             children[j.parent].append(i)
 
     out = ["HIERARCHY"]
-
-    def emit(idx, depth):
+    todo = [(0, 0)]  # (joint index, depth) still to open, or the text that closes a joint
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        idx, depth = item
         j = skeleton.joints[idx]
         pad = "  " * depth
+        inner = pad + "  "
         out.append(f"{pad}{'ROOT' if j.parent is None else 'JOINT'} {j.name}")
         out.append(pad + "{")
-        inner = "  " * (depth + 1)
         out.append(f"{inner}OFFSET {_fmt(j.offset)}")
         out.append(f"{inner}CHANNELS {len(j.channels)} {' '.join(j.channels)}")
-        for c in children[idx]:
-            emit(c, depth + 1)
+        close = [pad + "}"]
         if idx in skeleton.end_sites:
-            out.append(f"{inner}End Site")
-            out.append(inner + "{")
-            out.append(f"{inner}  OFFSET {_fmt(skeleton.end_sites[idx])}")
-            out.append(inner + "}")
-        out.append(pad + "}")
+            close = [f"{inner}End Site", inner + "{",
+                     f"{inner}  OFFSET {_fmt(skeleton.end_sites[idx])}", inner + "}", *close]
+        todo.append("\n".join(close))
+        todo.extend((c, depth + 1) for c in reversed(children[idx]))
 
-    emit(0, 0)
     out.append("MOTION")
     out.append(f"Frames: {clip.frames}")
     # extra header precision keeps fps stable under parse/write cycles
@@ -316,12 +342,16 @@ def write_bvh(skeleton: Skeleton, clip: MotionClip) -> str:
     data = np.empty((clip.frames, len(pos_cols) + len(rot_cols)))
     data[:, pos_cols] = clip.root_translation[:, pos_axes]
     data[:, rot_cols] = clip.rotations.reshape(clip.frames, -1)
-    out.extend(_fmt(row) for row in data)
+    row = " ".join(["%.6f"] * data.shape[1])
+    out.extend(row % tuple(values) for values in data.tolist())
     return "\n".join(out) + "\n"
 
 
 def _fmt(values):
-    return " ".join(f"{v:.6f}" for v in np.asarray(values, dtype=np.float64))
+    """`values` as floats with 6 decimals, space-separated; "%.6f" writes
+    the same text as f"{v:.6f}"."""
+    values = [float(v) for v in values]
+    return " ".join(["%.6f"] * len(values)) % tuple(values)
 
 
 # -- representation conversion -----------------------------------------
@@ -331,11 +361,7 @@ def clip_to_rotmat(clip: MotionClip) -> MotionClip:
     """Euler-degrees clip -> flattened 3x3 rotation matrices per joint."""
     if clip.rotations.shape[2] == 9:
         return clip
-    F, J = clip.frames, clip.layout.joint_count
-    rot = np.zeros((F, J, 9))
-    for ji, order in enumerate(clip.layout.orders):  # one rotation order per joint
-        rot[:, ji] = euler_to_rotmat(clip.rotations[:, ji], order).reshape(F, 9)
-    return MotionClip(clip.fps, clip.root_translation.copy(), rot, clip.layout)
+    return _per_order(clip, 9, euler_to_rotmat)
 
 
 def clip_to_euler(clip: MotionClip) -> MotionClip:
@@ -343,10 +369,17 @@ def clip_to_euler(clip: MotionClip) -> MotionClip:
     (`features_to_clip` snaps them)."""
     if clip.rotations.shape[2] == 3:
         return clip
-    F, J = clip.frames, clip.layout.joint_count
-    rot = np.zeros((F, J, 3))
-    for ji, order in enumerate(clip.layout.orders):  # one rotation order per joint
-        rot[:, ji] = rotmat_to_euler(clip.rotations[:, ji].reshape(F, 3, 3), order)
+    return _per_order(clip, 3, lambda m, order: rotmat_to_euler(m.reshape(*m.shape[:2], 3, 3), order))
+
+
+def _per_order(clip: MotionClip, width: int, convert) -> MotionClip:
+    """`clip` with rotations of `width` per joint: one `convert(rotations, order)`
+    call per distinct rotation order, over the joints of that order."""
+    F, orders = clip.frames, clip.layout.orders
+    rot = np.zeros((F, len(orders), width))
+    for order in dict.fromkeys(orders):  # first-seen order: a set's order would vary
+        joints = [ji for ji, o in enumerate(orders) if o == order]
+        rot[:, joints] = convert(clip.rotations[:, joints], order).reshape(F, len(joints), width)
     return MotionClip(clip.fps, clip.root_translation.copy(), rot, clip.layout)
 
 

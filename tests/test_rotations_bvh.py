@@ -170,7 +170,8 @@ def test_parse_errors_carry_line_numbers():
     # trailing junk
     with pytest.raises(ParseError) as e:
         bvh.parse_bvh(text + "0.0 0.0\n")
-    assert "trailing" in str(e.value)
+    assert "trailing content after 3 frames" in str(e.value)
+    assert e.value.line == len(lines) + 1
 
     # a frame count below 1, even with motion lines following
     frames_line = next(i for i, l in enumerate(lines) if l.startswith("Frames:"))
@@ -203,7 +204,121 @@ def test_parse_frame_count_mismatch():
     text = bvh.write_bvh(skel, clip)
     with pytest.raises(ParseError) as e:
         bvh.parse_bvh(text.replace("Frames: 4", "Frames: 9"))
-    assert "expected 9 frames" in str(e.value)
+    assert "expected 9 frames, found 4" in str(e.value)
+    assert e.value.line == text.count("\n") + 1  # the empty line after the last newline
+    # a count one short leaves the last frame as trailing content
+    with pytest.raises(ParseError) as e:
+        bvh.parse_bvh(text.replace("Frames: 4", "Frames: 3"))
+    assert "trailing content after 3 frames" in str(e.value)
+    assert e.value.line == text.count("\n")
+
+
+def _motion_lines(frames=4):
+    """Lines of a written 2-joint clip, and the index of its first frame line."""
+    skel, clip = _random_clip(np.random.default_rng(0), 2, frames)
+    lines = bvh.write_bvh(skel, clip).splitlines()
+    return lines, next(i for i, l in enumerate(lines) if l.startswith("Frame Time")) + 1
+
+
+def _parse_lines(lines):
+    with pytest.raises(ParseError) as e:
+        bvh.parse_bvh("\n".join(lines) + "\n")
+    return e.value
+
+
+def test_parse_short_frame_before_eof_names_its_line():
+    lines, first = _motion_lines()
+    lines[first + 2] = " ".join(lines[first + 2].split()[:-1])
+    err = _parse_lines(lines)
+    assert err.line == first + 3 and "frame has 8 values, expected 9" in str(err)
+    # a short frame comes before a missing one: Frames: 9 over the same 4 frames
+    lines = [l.replace("Frames: 4", "Frames: 9") for l in lines]
+    err = _parse_lines(lines)
+    assert err.line == first + 3 and "frame has 8 values" in str(err)
+
+
+def test_parse_non_numeric_value_in_a_later_frame_names_its_line():
+    lines, first = _motion_lines()
+    words = lines[first + 3].split()
+    words[4] = "1.0x"
+    lines[first + 3] = " ".join(words)
+    err = _parse_lines(lines)
+    assert err.line == first + 4 and "non-numeric value" in str(err) and "'1.0x'" in str(err)
+    # a non-number in an earlier frame comes before a later short frame
+    lines[first + 1] = lines[first + 1].replace(".", "x", 1)
+    lines[first + 2] = " ".join(lines[first + 2].split()[:-1])
+    assert _parse_lines(lines).line == first + 2
+
+
+@pytest.mark.parametrize("values", ["", "0.0 10.0", "1.0 2.0 3.0 4.0"], ids=["0", "2", "4"])
+def test_parse_end_site_offset_needs_3_values(values):
+    skel, clip = _random_clip(np.random.default_rng(0), 2, 3)
+    lines = bvh.write_bvh(skel, clip).splitlines()
+    at = next(i for i, l in enumerate(lines) if l.strip() == "End Site") + 2
+    lines[at] = lines[at].split("OFFSET")[0] + f"OFFSET {values}".rstrip()
+    with pytest.raises(ParseError, match="OFFSET needs 3 values") as e:
+        bvh.parse_bvh("\n".join(lines) + "\n")
+    assert e.value.line == at + 1
+
+
+def test_deep_chain_roundtrip_is_byte_stable(rng):
+    # deeper than the interpreter's recursion limit: both walks use a stack
+    skel, clip = _random_clip(rng, 1500, 2)
+    text = bvh.write_bvh(skel, clip)
+    skel2, clip2 = bvh.parse_bvh(text)
+    assert [j.parent for j in skel2.joints] == [j.parent for j in skel.joints]
+    assert bvh.write_bvh(skel2, clip2) == text
+
+
+TREE_BVH = """HIERARCHY
+ROOT hips
+{
+  OFFSET 0.000000 0.000000 0.000000
+  CHANNELS 6 Xposition Yposition Zposition Zrotation Xrotation Yrotation
+  JOINT spine
+  {
+    OFFSET 0.000000 10.000000 0.000000
+    CHANNELS 3 Zrotation Xrotation Yrotation
+    JOINT head
+    {
+      OFFSET 0.000000 5.000000 0.000000
+      CHANNELS 3 Zrotation Xrotation Yrotation
+      End Site
+      {
+        OFFSET 0.000000 2.000000 0.000000
+      }
+    }
+    JOINT arm
+    {
+      OFFSET 3.000000 0.000000 0.000000
+      CHANNELS 3 Xrotation Yrotation Zrotation
+    }
+  }
+  JOINT leg
+  {
+    OFFSET -1.500000 -9.000000 0.250000
+    CHANNELS 3 Zrotation Xrotation Yrotation
+    End Site
+    {
+      OFFSET 0.000000 -4.000000 0.000000
+    }
+  }
+}
+MOTION
+Frames: 2
+Frame Time: 0.033333333333
+1.000000 2.000000 3.000000 10.000000 -20.000000 30.000000 0.000000 -0.000000 1.500000 4.000000 5.000000 6.000000 7.000000 8.000000 9.000000 -1.000000 -2.000000 -3.000000
+0.500000 0.250000 0.125000 1.000000 2.000000 3.000000 4.000000 5.000000 6.000000 7.000000 8.000000 9.000000 10.000000 11.000000 12.000000 13.000000 14.000000 15.000000
+"""
+
+
+def test_tree_roundtrip_keeps_sibling_and_end_site_order():
+    skel, clip = bvh.parse_bvh(TREE_BVH)
+    assert skel.joint_names() == ["hips", "spine", "head", "arm", "leg"]
+    assert [j.parent for j in skel.joints] == [None, 0, 1, 1, 0]
+    assert sorted(skel.end_sites) == [2, 4]
+    assert clip.layout.orders == ["ZXY", "ZXY", "ZXY", "XYZ", "ZXY"]
+    assert bvh.write_bvh(skel, clip) == TREE_BVH
 
 
 # -- representation conversion ------------------------------------------
@@ -234,6 +349,22 @@ def test_rotmat_roundtrip_mixed_orders(rng):
         assert np.abs(back.rotations - angles).max() < 1e-9
 
 
+def test_clip_conversions_equal_per_joint_kernel_calls(rng):
+    # one kernel call per distinct order, joints gathered by index
+    orders = ["ZXY", "XYZ", "ZXY", "YZX", "XYZ"]
+    layout = bvh.JointLayout([f"j{i}" for i in range(5)], orders)
+    angles = rng.uniform(-180, 180, (9, 5, 3))
+    clip = bvh.MotionClip(30.0, rng.normal(0, 1, (9, 3)), angles, layout)
+    rm = bvh.clip_to_rotmat(clip)
+    want = np.stack([rot.euler_to_rotmat(angles[:, j], o) for j, o in enumerate(orders)], axis=1)
+    assert np.array_equal(rm.rotations, want.reshape(9, 5, 9))
+    back = bvh.clip_to_euler(rm)
+    want = np.stack([rot.rotmat_to_euler(rm.rotations[:, j].reshape(9, 3, 3), o)
+                     for j, o in enumerate(orders)], axis=1)
+    assert np.array_equal(back.rotations, want)
+    assert back.layout.orders == orders
+
+
 def test_clip_to_euler_orthonormalize_flag(rng):
     _, clip = _random_clip(rng, 2, 3)
     noisy = bvh.clip_to_features(clip)
@@ -248,6 +379,19 @@ def test_write_rejects_rotmat_clip(rng):
     skel, clip = _random_clip(rng, 2, 3)
     with pytest.raises(ShapeError):
         bvh.write_bvh(skel, bvh.clip_to_rotmat(clip))
+
+
+def test_write_rows_match_per_value_format():
+    tricky = [-0.0, 5e-7, -5e-7, 4.9999999e-7, 0.0000015, 2.5e-6, 0.1234565, 1.0000005,
+              -123.4567895, 1e20, -1e20, 1e-300, -1e-300, 179.9999996, 359.9999994]
+    values = np.array(tricky).reshape(-1, 3)
+    skel = chain_skeleton(1)
+    layout = bvh.JointLayout(skel.joint_names(), skel.rotation_orders())
+    clip = bvh.MotionClip(30.0, values, values[:, None, ::-1], layout)
+    rows = bvh.write_bvh(skel, clip).splitlines()[-len(values):]
+    for row, trans, angles in zip(rows, clip.root_translation, clip.rotations[:, 0]):
+        assert row == " ".join(f"{v:.6f}" for v in [*trans, *angles])
+    assert rows[0].split()[0] == "-0.000000"
 
 
 # -- temporal ops -------------------------------------------------------
