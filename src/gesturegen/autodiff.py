@@ -4,9 +4,16 @@ Every differentiable operation used by the models lives here as a small
 numpy kernel with an explicit backward function. There is no taping DSL:
 each op builds one graph node, `Tensor(value, parents, bwd)`, whose
 closure knows how to push gradients to its parents. `backward()` keeps a
-gradient only while it is live: an interior node's buffer exists from the
-first closure that writes it until its own closure has run, and afterwards
-only the leaves (weights, inputs) hold `.grad`.
+gradient only while it is live: an interior node's gradient exists from the
+first closure that contributes to it until its own closure has run, and
+afterwards only the leaves (weights, inputs) hold `.grad`. Each gradient is
+written once: the first contribution is stored as it is and a later one is
+added out of place (`_accumulate`), so there are no zero buffers, and one
+array may be the gradient of two nodes at once. The sums are the same IEEE
+adds in the same order as a zero buffer plus each contribution, so every bit
+is the same, except that an element that is exactly zero may keep a negative
+sign (a zero buffer gave 0.0 + -0.0 = +0.0). AdamW moments start at +0.0 and
+absorb that sign, so no written output can see it.
 
 Inside `with no_grad():` the same ops compute the same values, but a node
 keeps neither its parents nor its closure, so the arrays a closure would
@@ -84,13 +91,32 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _accumulate(p: Tensor, contribution) -> None:
+    """Give `p` one closure's contribution to its gradient: the first is stored
+    as it is, a later one makes a new array `p.grad + contribution`. No stored
+    gradient is written in place, so a contribution may be a view, or the
+    very array that another node receives."""
+    p.grad = contribution if p.grad is None else p.grad + contribution
+
+
+def _writable(p: Tensor) -> np.ndarray:
+    """A gradient buffer of `p` that a closure writing part of it may change in
+    place: zeros, or a copy of the gradient so far. The closure stores it back
+    as `p.grad` once it is done."""
+    return np.zeros_like(p.value) if p.grad is None else p.grad.copy()
+
+
 class Tensor:
-    """A float64 array plus the accumulated gradient of a scalar loss.
+    """A float64 array plus the gradient of a scalar loss.
 
     `value` is immutable by convention after construction. After
     `backward()` on a loss node, `grad` holds the gradient of each leaf
     tensor (weights, inputs: no parents) and is None on every interior
-    node. Under `no_grad` no tensor keeps any parents.
+    node. A closure hands each parent its contribution through
+    `_accumulate`; the three that write part of a gradient (`__getitem__`,
+    `causal_depthwise_conv`, the `abar` write of `ssm.selective_scan_seq`)
+    write into a `_writable` buffer. Under `no_grad` no tensor keeps any
+    parents.
     """
 
     __slots__ = ("value", "grad", "_parents", "_bwd")
@@ -132,10 +158,11 @@ class Tensor:
 
         Non-scalar outputs are seeded with ones (i.e. the gradient of
         their sum). Every reachable node's grad is cleared first, so
-        repeated calls do not accumulate across steps. A parent's zero
-        buffer is made just before the first closure that writes it, and
-        an interior node drops its grad once its own closure has run, so
-        after the sweep only leaves hold `.grad`.
+        repeated calls do not accumulate across steps. Closures run in
+        reverse topological order; an interior node drops its grad once
+        its own closure has run, so after the sweep only leaves hold
+        `.grad`. A leaf's `.grad` may be the very array another leaf
+        holds, or a read-only view: read it, never write into it.
         """
         if not _grad_enabled:
             raise RuntimeError("backward() inside autodiff.no_grad(): no graph was recorded")
@@ -145,9 +172,6 @@ class Tensor:
         self.grad = np.ones_like(self.value)
         for node in reversed(order):
             if node._bwd is not None:
-                for p in node._parents:
-                    if p.grad is None:
-                        p.grad = np.zeros_like(p.value)
                 node._bwd(node.grad)
                 node.grad = None
 
@@ -157,15 +181,15 @@ class Tensor:
         other = _as_tensor(other)
 
         def bwd(g):
-            self.grad += _unbroadcast(g, self.value.shape)
-            other.grad += _unbroadcast(g, other.value.shape)
+            _accumulate(self, _unbroadcast(g, self.value.shape))
+            _accumulate(other, _unbroadcast(g, other.value.shape))
 
         return Tensor(self.value + other.value, (self, other), bwd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Tensor(-self.value, (self,), lambda g: self.grad.__iadd__(-g))
+        return Tensor(-self.value, (self,), lambda g: _accumulate(self, -g))
 
     def __sub__(self, other):
         return self + (-_as_tensor(other))
@@ -177,8 +201,8 @@ class Tensor:
         other = _as_tensor(other)
 
         def bwd(g):
-            self.grad += _unbroadcast(g * other.value, self.value.shape)
-            other.grad += _unbroadcast(g * self.value, other.value.shape)
+            _accumulate(self, _unbroadcast(g * other.value, self.value.shape))
+            _accumulate(other, _unbroadcast(g * self.value, other.value.shape))
 
         return Tensor(self.value * other.value, (self, other), bwd)
 
@@ -191,10 +215,12 @@ class Tensor:
 
     def __getitem__(self, key):
         def bwd(g):
+            grad = _writable(self)
             if _is_basic_key(key):  # each element is hit at most once, so += is exact
-                self.grad[key] += g
+                grad[key] += g
             else:  # an advanced key may repeat an index; add.at adds every hit
-                np.add.at(self.grad, key, g)
+                np.add.at(grad, key, g)
+            self.grad = grad
 
         return Tensor(self.value[key], (self,), bwd)
 
@@ -202,7 +228,7 @@ class Tensor:
         def bwd(g):
             if axis is not None:
                 g = np.expand_dims(g, axis)
-            self.grad += np.broadcast_to(g, self.value.shape)
+            _accumulate(self, np.broadcast_to(g, self.value.shape))
 
         return Tensor(self.value.sum(axis=axis), (self,), bwd)
 
@@ -254,8 +280,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul shapes incompatible: {a.value.shape} x {b.value.shape}")
 
     def bwd(g):
-        a.grad += g @ b.value.T
-        b.grad += a.value.T @ g
+        _accumulate(a, g @ b.value.T)
+        # one row: the outer product, the same single products as a dgemm of inner size 1
+        _accumulate(b, a.value.T * g if a.value.shape[0] == 1 else a.value.T @ g)
 
     return Tensor(a.value @ b.value, (a, b), bwd)
 
@@ -267,7 +294,7 @@ def concat(parts, axis=-1) -> Tensor:
 
     def bwd(g):
         for p, piece in zip(parts, np.split(g, splits, axis=axis)):
-            p.grad += piece
+            _accumulate(p, piece)
 
     return Tensor(np.concatenate([p.value for p in parts], axis=axis), tuple(parts), bwd)
 
@@ -275,13 +302,13 @@ def concat(parts, axis=-1) -> Tensor:
 def reshape(x: Tensor, shape) -> Tensor:
     x = _as_tensor(x)
     return Tensor(x.value.reshape(shape), (x,),
-                  lambda g: x.grad.__iadd__(g.reshape(x.value.shape)))
+                  lambda g: _accumulate(x, g.reshape(x.value.shape)))
 
 
 def broadcast_to(x: Tensor, shape) -> Tensor:
     x = _as_tensor(x)
     return Tensor(np.broadcast_to(x.value, shape).copy(), (x,),
-                  lambda g: x.grad.__iadd__(_unbroadcast(g, x.value.shape)))
+                  lambda g: _accumulate(x, _unbroadcast(g, x.value.shape)))
 
 
 # -- elementwise nonlinearities ----------------------------------------
@@ -290,26 +317,26 @@ def broadcast_to(x: Tensor, shape) -> Tensor:
 def exp(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     e = np.exp(x.value)
-    return Tensor(e, (x,), lambda g: x.grad.__iadd__(g * e))
+    return Tensor(e, (x,), lambda g: _accumulate(x, g * e))
 
 
 def silu(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     s = 1.0 / (1.0 + np.exp(-x.value))
     return Tensor(x.value * s, (x,),
-                  lambda g: x.grad.__iadd__(g * (s + x.value * s * (1.0 - s))))
+                  lambda g: _accumulate(x, g * (s + x.value * s * (1.0 - s))))
 
 
 def softplus(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     return Tensor(np.logaddexp(0.0, x.value), (x,),
-                  lambda g: x.grad.__iadd__(g / (1.0 + np.exp(-x.value))))
+                  lambda g: _accumulate(x, g / (1.0 + np.exp(-x.value))))
 
 
 def relu(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     return Tensor(np.maximum(x.value, 0.0), (x,),
-                  lambda g: x.grad.__iadd__(g * (x.value > 0.0)))
+                  lambda g: _accumulate(x, g * (x.value > 0.0)))
 
 
 # -- rows/sequence primitives ------------------------------------------
@@ -324,7 +351,7 @@ def softmax(x: Tensor) -> Tensor:
 
     def bwd(g):
         inner = (g * s).sum(axis=-1, keepdims=True)
-        x.grad += s * (g - inner)
+        _accumulate(x, s * (g - inner))
 
     return Tensor(s, (x,), bwd)
 
@@ -343,11 +370,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
     def bwd(g):
         gxhat = g * gamma.value
-        gamma.grad += _unbroadcast(g * xhat, gamma.value.shape)
-        beta.grad += _unbroadcast(g, beta.value.shape)
+        _accumulate(gamma, _unbroadcast(g * xhat, gamma.value.shape))
+        _accumulate(beta, _unbroadcast(g, beta.value.shape))
         m1 = gxhat.mean(axis=-1, keepdims=True)
         m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
-        x.grad += inv * (gxhat - m1 - xhat * m2)
+        _accumulate(x, inv * (gxhat - m1 - xhat * m2))
 
     return Tensor(xhat * gamma.value + beta.value, (x, gamma, beta), bwd)
 
@@ -364,7 +391,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 
 def transpose(x: Tensor) -> Tensor:
     x = _as_tensor(x)
-    return Tensor(x.value.T.copy(), (x,), lambda g: x.grad.__iadd__(g.T))
+    return Tensor(x.value.T.copy(), (x,), lambda g: _accumulate(x, g.T))
 
 
 def causal_depthwise_conv(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
@@ -383,10 +410,12 @@ def causal_depthwise_conv(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         y[j:] += kernel.value[j] * x.value[:L - j]
 
     def bwd(g):
-        bias.grad += g.sum(axis=0)
+        _accumulate(bias, g.sum(axis=0))
+        g_kernel, g_x = _writable(kernel), _writable(x)
         for j in range(min(w, L)):
-            kernel.grad[j] += (g[j:] * x.value[:L - j]).sum(axis=0)
-            x.grad[:L - j] += kernel.value[j] * g[j:]
+            g_kernel[j] += (g[j:] * x.value[:L - j]).sum(axis=0)
+            g_x[:L - j] += kernel.value[j] * g[j:]
+        kernel.grad, x.grad = g_kernel, g_x
 
     return Tensor(y + bias.value, (x, kernel, bias), bwd)
 
@@ -403,14 +432,14 @@ def huber_loss(diff: Tensor, delta: float = 1.0) -> Tensor:
     lin = delta * (absd - 0.5 * delta)
     val = np.where(absd <= delta, quad, lin).mean()
     return Tensor(val, (diff,),
-                  lambda g: diff.grad.__iadd__(g * np.clip(d, -delta, delta) / d.size))
+                  lambda g: _accumulate(diff, g * np.clip(d, -delta, delta) / d.size))
 
 
 def l1_loss(diff: Tensor) -> Tensor:
     """Mean absolute value of an error tensor."""
     diff = _as_tensor(diff)
     return Tensor(np.abs(diff.value).mean(), (diff,),
-                  lambda g: diff.grad.__iadd__(g * np.sign(diff.value) / diff.value.size))
+                  lambda g: _accumulate(diff, g * np.sign(diff.value) / diff.value.size))
 
 
 # -- verification -------------------------------------------------------

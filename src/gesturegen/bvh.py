@@ -121,13 +121,18 @@ def parse_bvh(text: str):
     toks = [(ln, words) for ln, words in enumerate(map(str.split, lines), 1) if words]
     pos = 0
 
-    def take(expect=None):
+    def take(expect=None, n=0):
+        """The next line's number and words: the first word must be `expect`, and
+        with `n` there must be exactly n words."""
         nonlocal pos
         if pos >= len(toks):
             raise ParseError("unexpected end of file", line=len(lines))
         ln, words = toks[pos]
         if expect is not None and words[0] != expect:
             raise ParseError(f"expected {expect!r}, found {words[0]!r}", line=ln)
+        if n and len(words) != n:
+            raise ParseError(f"expected {n} word(s) on the {expect!r} line, found "
+                             f"{' '.join(words)!r}", line=ln)
         pos += 1
         return ln, words
 
@@ -140,18 +145,18 @@ def parse_bvh(text: str):
             raise ParseError("non-finite value", line=ln)
         return np.array(values)
 
-    take("HIERARCHY")
+    take("HIERARCHY", 1)
     joints: list = []
     orders: list = []
     end_sites: dict = {}
     open_joints: list = []  # indices of the joints whose braces are open, innermost last
     while True:  # one joint declaration per pass, then its body up to the next JOINT
         ln, words = take()
-        if words[0] not in ("ROOT", "JOINT") or len(words) < 2:
+        if words[0] not in ("ROOT", "JOINT") or len(words) != 2:
             raise ParseError(f"expected ROOT/JOINT declaration, found {' '.join(words)!r}", line=ln)
         name = words[1]
         parent = open_joints[-1] if open_joints else None
-        take("{")
+        take("{", 1)
         offset = take_offset()
         ln, words = take("CHANNELS")
         try:
@@ -180,12 +185,14 @@ def parse_bvh(text: str):
             if words[0] == "JOINT":
                 break
             if words[0] == "End":
+                if words != ["End", "Site"]:
+                    raise ParseError(f"expected 'End Site', found {' '.join(words)!r}", line=ln)
                 take("End")
-                take("{")
+                take("{", 1)
                 end_sites[open_joints[-1]] = take_offset()
-                take("}")
+                take("}", 1)
             elif words[0] == "}":
-                take("}")
+                take("}", 1)
                 open_joints.pop()
             else:
                 raise ParseError(f"unexpected token {words[0]!r} in hierarchy", line=ln)
@@ -193,16 +200,16 @@ def parse_bvh(text: str):
             break
     skeleton = Skeleton(joints, end_sites)
 
-    take("MOTION")
-    ln, words = take("Frames:")
+    take("MOTION", 1)
+    ln, words = take("Frames:", 2)
     try:
         n_frames = int(words[1])
-    except (IndexError, ValueError):
+    except ValueError:
         raise ParseError("Frames: needs an integer", line=ln)
     if n_frames < 1:
         raise ParseError(f"Frames: must be at least 1, got {n_frames}", line=ln)
-    ln, words = take("Frame")
-    if len(words) < 3 or words[1] != "Time:":
+    ln, words = take("Frame", 3)
+    if words[1] != "Time:":
         raise ParseError("expected 'Frame Time:'", line=ln)
     frame_time = _floats(words[2:3], ln)[0]
     if not 0 < frame_time < math.inf:

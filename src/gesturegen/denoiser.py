@@ -273,10 +273,8 @@ def training_step(model: GestureModel, optimizer: AdamW, batch: list,
         for name, p in params.items():
             if p.grad is None:
                 continue
-            if name in grads:
-                grads[name] += p.grad
-            else:
-                grads[name] = p.grad
+            # out of place: two weights may hold one gradient array
+            grads[name] = grads[name] + p.grad if name in grads else p.grad
     for name, p in params.items():
         p.grad = grads.get(name)
     optimizer.step()

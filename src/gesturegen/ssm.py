@@ -80,13 +80,15 @@ def selective_scan_seq(abar: Tensor, bbar: Tensor, cmat: Tensor, d: Tensor, u: T
     y = (cmat.value * h).sum(axis=2) + d.value * u.value
 
     def bwd(g):
-        cmat.grad += g[:, :, None] * h
-        d.grad += (g * u.value).sum(axis=0)
+        ad._accumulate(cmat, g[:, :, None] * h)
+        ad._accumulate(d, (g * u.value).sum(axis=0))
         lam = cmat.value * g[:, :, None]
         _linear_recurrence(abar.value[:0:-1], lam[::-1])
-        abar.grad[1:] += lam[1:] * h[:-1]
-        bbar.grad += lam * u.value[:, :, None]
-        u.grad += (bbar.value * lam).sum(axis=2) + d.value * g
+        g_abar = ad._writable(abar)
+        g_abar[1:] += lam[1:] * h[:-1]
+        abar.grad = g_abar
+        ad._accumulate(bbar, lam * u.value[:, :, None])
+        ad._accumulate(u, (bbar.value * lam).sum(axis=2) + d.value * g)
 
     return Tensor(y, (abar, bbar, cmat, d, u), bwd)
 
@@ -121,23 +123,23 @@ def selective_scan_fused(delta: Tensor, b_proj: Tensor, c_proj: Tensor,
     y = np.matmul(h, c_proj.value[:, :, None])[:, :, 0] + d_skip.value * u.value
 
     def bwd(g):
-        c_proj.grad += np.matmul(g[:, None, :], h)[:, 0]
-        d_skip.grad += (g * u.value).sum(axis=0)
+        ad._accumulate(c_proj, np.matmul(g[:, None, :], h)[:, 0])
+        ad._accumulate(d_skip, (g * u.value).sum(axis=0))
         lam = c_proj.value[:, None, :] * g[:, :, None]
         _linear_recurrence(abar[:0:-1], lam[::-1])
         # chain through bbar = delta * b (lam_b = sum_n lam * b) and, from k = 1 on
         # (h_{-1} = 0), through abar = exp(delta * a): g_da = dL / d(delta * a)
         # is formed in lam's buffer after lam's last readers
         lam_b = np.matmul(lam, b_proj.value[:, :, None])[:, :, 0]
-        b_proj.grad += np.matmul((delta.value * u.value)[:, None, :], lam)[:, 0]
+        ad._accumulate(b_proj, np.matmul((delta.value * u.value)[:, None, :], lam)[:, 0])
         g_da = lam[1:]
         g_da *= h[:-1]
         g_da *= abar[1:]
         g_delta = lam_b * u.value
         g_delta[1:] += np.einsum("lcn,cn->lc", g_da, a.value)
-        delta.grad += g_delta
-        a.grad += np.einsum("lcn,lc->cn", g_da, delta.value[1:])
-        u.grad += lam_b * delta.value + d_skip.value * g
+        ad._accumulate(delta, g_delta)
+        ad._accumulate(a, np.einsum("lcn,lc->cn", g_da, delta.value[1:]))
+        ad._accumulate(u, lam_b * delta.value + d_skip.value * g)
 
     return Tensor(y, (delta, b_proj, c_proj, a, d_skip, u), bwd)
 

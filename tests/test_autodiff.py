@@ -75,6 +75,103 @@ def test_clip_backward_keeps_leaf_gradient_bits_and_drops_interior_ones(monkeypa
     assert [node.grad.tobytes() for node in leaves] == live
 
 
+def _leaf_grads_against_oracle(root):
+    """(live, oracle): each leaf's gradient bytes after `backward`, then after the
+    oracle sweep over the same graph. `+ 0.0` gives an exact zero the sign that the
+    oracle's zero buffer gives it, the one difference that `backward` allows."""
+    leaves = [node for node in root._topo() if node._bwd is None]
+    root.backward()
+    live = [(node.grad + 0.0).tobytes() for node in leaves]
+    _backward_with_every_buffer_up_front(root)
+    return live, [node.grad.tobytes() for node in leaves]
+
+
+# Each case is two scalar terms. In one of the two orders the sweep runs, a node's
+# first gradient is an array that another node also holds when a second
+# contribution arrives, so an in-place add or partial write would change both.
+
+
+def _leaves(rng, *shapes):
+    return [ad.tensor(rng.normal(0, 1, shape)) for shape in shapes]
+
+
+def _used_twice(rng):
+    x, y = _leaves(rng, (4, 3), (4, 3))
+    return [(((x + x) + y) * rng.normal(0, 1, (4, 3))).sum(), (x * x).sum()]
+
+
+def _two_leaves_one_array(rng):
+    w1, w2 = _leaves(rng, (4, 3), (4, 3))
+    return [((w1 + w2) * rng.normal(0, 1, (4, 3))).sum(), (w1 * w1).sum()]
+
+
+def _both_halves_of_a_split(rng):
+    x, w, y = _leaves(rng, (5, 3), (3, 8), (5, 8))
+    xz = ad.matmul(x, w)
+    return [(ad.silu(xz[:, :4]) * ad.silu(xz[:, 4:])).sum(),
+            ((xz + y) * rng.normal(0, 1, (5, 8))).sum()]
+
+
+def _conv_with_a_second_consumer(rng):
+    x, w, kernel, bias = _leaves(rng, (6, 3), (6, 3), (2, 3), (3,))
+    return [(ad.causal_depthwise_conv(x, kernel, bias) * rng.normal(0, 1, (6, 3))).sum(),
+            ((x + w) * rng.normal(0, 1, (6, 3))).sum()]
+
+
+def _one_row_matmul_after_dead_relu(rng):
+    z, w1, w2 = _leaves(rng, (1, 4), (4, 16), (16, 9))
+    h = ad.relu(ad.matmul(z, w1))
+    assert 0 < (h.value == 0.0).sum() < h.value.size  # some units are dead, some live
+    return [ad.huber_loss(ad.matmul(h, w2) - rng.normal(0, 1, (1, 9))), (w2 * w2).sum()]
+
+
+@pytest.mark.parametrize("first", [0, 1], ids=["in-order", "swapped"])
+@pytest.mark.parametrize("build", [_used_twice, _two_leaves_one_array, _both_halves_of_a_split,
+                                   _conv_with_a_second_consumer, _one_row_matmul_after_dead_relu])
+def test_leaf_gradients_equal_the_zero_buffer_oracle(build, first, rng):
+    terms = build(rng)
+    live, oracle = _leaf_grads_against_oracle(terms[first] + terms[1 - first])
+    assert live == oracle
+
+
+def test_one_row_matmul_gradient_is_the_outer_product_of_a_dgemm(rng):
+    a, g = rng.normal(0, 1, (1, 64)), rng.normal(0, 1, (1, 4500))
+    a[0, ::3] = 0.0
+    outer, dgemm = a.T * g, a.T @ g
+    assert np.array_equal(outer, dgemm)  # -0.0 == 0.0: equal values
+    nonzero = dgemm != 0.0
+    assert outer[nonzero].tobytes() == dgemm[nonzero].tobytes()
+
+
+def test_training_step_sums_clip_gradients_out_of_place(monkeypatch):
+    """Two weights that receive one gradient array per clip: the step must still give
+    each one the sum of its own clip gradients."""
+    w1, w2 = ad.tensor(np.zeros((2, 3))), ad.tensor(np.ones((2, 3)))
+    batch = [np.random.default_rng(i).normal(0, 1, (2, 3)) for i in range(2)]
+
+    def clip_backward(model, ex, schedule, rng, huber_delta, n, index):
+        (((w1 + w2) * ex).sum() * (1.0 / n)).backward()
+        assert w1.grad is w2.grad
+        return 0.0, 0.0, 0.0
+
+    monkeypatch.setattr(dn, "_clip_backward", clip_backward)
+    opt = dn.AdamW({"w1": w1, "w2": w2}, lr=1e-3)
+    dn.training_step(None, opt, batch, build_schedule(10, 1e-4, 0.2), np.random.default_rng(0))
+    want = (0.5 * batch[0] + 0.5 * batch[1]).tobytes()
+    assert w1.grad.tobytes() == want and w2.grad.tobytes() == want
+
+
+def test_backward_of_a_chain_makes_no_zero_buffer(rng, monkeypatch):
+    x = ad.tensor(rng.normal(0, 1, (8, 8)))
+    y = x
+    for _ in range(64):
+        y = ad.silu(y)
+    calls, zeros_like = [], np.zeros_like
+    monkeypatch.setattr(np, "zeros_like", lambda *a, **k: calls.append(1) or zeros_like(*a, **k))
+    y.sum().backward()
+    assert calls == [] and x.grad.shape == (8, 8)
+
+
 def test_backward_peak_memory_does_not_grow_with_the_graph(rng):
     """A chain of 64 elementwise ops: each interior gradient is freed once its closure
     has run, so the sweep holds a few arrays at a time (5 here), not one per node."""

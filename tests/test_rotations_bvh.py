@@ -321,6 +321,32 @@ def test_tree_roundtrip_keeps_sibling_and_end_site_order():
     assert bvh.write_bvh(skel, clip) == TREE_BVH
 
 
+@pytest.mark.parametrize("old,new", [
+    ("HIERARCHY", "HIERARCHY tree"),
+    ("ROOT hips", "ROOT"),
+    ("ROOT hips", "ROOT hips extra"),
+    ("JOINT head", "JOINT head extra words"),
+    ("{", "{ x"),
+    ("}", "} }"),
+    ("End Site", "End Foo"),
+    ("End Site", "End"),
+    ("End Site", "End Site here"),
+    ("MOTION", "MOTION 2"),
+    ("Frames: 2", "Frames:"),
+    ("Frames: 2", "Frames: 2 junk"),
+    ("Frame Time: 0.033333333333", "Frame Time:"),
+    ("Frame Time: 0.033333333333", "Frame Time: 0.033333333333 junk"),
+    ("Frame Time: 0.033333333333", "Frame Tim: 0.033333333333"),
+])
+def test_parse_header_line_needs_its_exact_words(old, new):
+    lines = TREE_BVH.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.strip() == old)  # the first such line
+    lines[at] = lines[at].replace(old, new)
+    with pytest.raises(ParseError) as e:
+        bvh.parse_bvh("\n".join(lines) + "\n")
+    assert e.value.line == at + 1 and "expected" in str(e.value)
+
+
 # -- representation conversion ------------------------------------------
 
 
