@@ -113,10 +113,9 @@ class Tensor:
     `backward()` on a loss node, `grad` holds the gradient of each leaf
     tensor (weights, inputs: no parents) and is None on every interior
     node. A closure hands each parent its contribution through
-    `_accumulate`; the three that write part of a gradient (`__getitem__`,
-    `causal_depthwise_conv`, the `abar` write of `ssm.selective_scan_seq`)
-    write into a `_writable` buffer. Under `no_grad` no tensor keeps any
-    parents.
+    `_accumulate`; the two ops that write part of a gradient (`__getitem__`
+    and `causal_depthwise_conv`) write into a `_writable` buffer. Under
+    `no_grad` no tensor keeps any parents.
     """
 
     __slots__ = ("value", "grad", "_parents", "_bwd")

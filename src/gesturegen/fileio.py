@@ -7,6 +7,7 @@ payloads (float32 features, float64 checkpoints), so reloads are bit-exact.
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -42,6 +43,8 @@ def read_features(path):
             rows, cols = (int(x) for x in f.readline().split())
         except ValueError:
             raise ParseError(f"{path}: bad shape line", line=2)
+        if min(rows, cols) < 0:
+            raise ParseError(f"{path}: negative dimension in shape {rows} {cols}", line=2)
         try:
             modality = f.readline().strip().decode()
         except UnicodeDecodeError:
@@ -51,6 +54,9 @@ def read_features(path):
     if len(payload) != expected:
         raise ParseError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
     arr = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(np.float64)
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        raise ParseError(f"{path}: non-finite value in feature row {finite.argmin()}")
     return arr, modality
 
 
@@ -147,9 +153,12 @@ def read_float_lines(path):
     out = []
     for ln, entry in entries(read_text(path)):
         try:
-            out.append(float(entry))
+            value = float(entry)
         except ValueError:
             raise ParseError(f"{path}: non-numeric entry {entry!r}", line=ln)
+        if not math.isfinite(value):
+            raise ParseError(f"{path}: non-finite entry {entry!r}", line=ln)
+        out.append(value)
     return np.array(out)
 
 

@@ -1,10 +1,9 @@
 """Selective state-space sequence modeling.
 
-Continuous diagonal SSM, its discretization, the input-dependent scan in
-sequential and fused forms (both differentiable, and graph-free under
-`autodiff.no_grad`), and the gated Mamba block that wires them together.
-Both scans share one linear recurrence: forward for the states, and over
-the reversed sequence for the adjoint.
+The input-dependent selective scan (differentiable, and graph-free under
+`autodiff.no_grad`) and the gated Mamba block that wires it in. One linear
+recurrence serves the scan's forward, for the states, and its adjoint, run
+over the reversed sequence.
 """
 from __future__ import annotations
 
@@ -21,37 +20,6 @@ SSM_EXPAND = 2
 SSM_CONV_WIDTH = 4
 
 
-@dataclass
-class ContinuousSsm:
-    """Single-channel diagonal continuous SSM x' = Ax + Bu, y = Cx + Du."""
-
-    a: np.ndarray  # N, strictly negative diagonal
-    b: np.ndarray  # N
-    c: np.ndarray  # N
-    d: float
-
-    def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
-        self.c = np.asarray(self.c, dtype=np.float64)
-        if self.a.size < 1:
-            raise ShapeError("SSM state dimension must be >= 1")
-        if np.any(self.a >= 0):
-            raise ValueError("diagonal A entries must be strictly negative for stability")
-
-
-def discretize_zoh(a: np.ndarray, b: np.ndarray, delta: float):
-    """Zero-order hold for the state path, Euler for the input path.
-
-    Returns (abar, bbar) with abar = exp(delta * a), bbar = delta * b.
-    """
-    if delta <= 0:
-        raise ValueError(f"discretization step must be positive, got {delta}")
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return np.exp(delta * a), delta * b
-
-
 def _linear_recurrence(a: np.ndarray, h: np.ndarray) -> None:
     """h_k = a_{k-1} h_{k-1} + b_k along axis 0 from a zero start, in place:
     h holds b on entry and the states on exit; len(a) == len(h) - 1."""
@@ -60,45 +28,13 @@ def _linear_recurrence(a: np.ndarray, h: np.ndarray) -> None:
         h[k + 1] += np.multiply(a[k], h[k], out=row)
 
 
-def selective_scan_seq(abar: Tensor, bbar: Tensor, cmat: Tensor, d: Tensor, u: Tensor) -> Tensor:
-    """Differentiable sequential scan of the per-step recurrence.
-
-    h_k = abar_k * h_{k-1} + bbar_k * u_k,  y_k = <cmat_k, h_k> + d * u_k
-
-    Shapes: abar/bbar/cmat L x C x N, d C, u L x C. The state starts at
-    zero. Backward runs lam_k = cmat_k g_k + abar_{k+1} lam_{k+1} in reverse.
-    """
-    abar, bbar, cmat = ad._as_tensor(abar), ad._as_tensor(bbar), ad._as_tensor(cmat)
-    d, u = ad._as_tensor(d), ad._as_tensor(u)
-    L, C = u.value.shape
-    if abar.value.shape != bbar.value.shape or abar.value.shape != cmat.value.shape:
-        raise ShapeError("scan parameter shapes differ")
-    if abar.value.shape[:2] != (L, C):
-        raise ShapeError(f"scan params {abar.value.shape} do not match input {u.value.shape}")
-    h = bbar.value * u.value[:, :, None]
-    _linear_recurrence(abar.value[1:], h)
-    y = (cmat.value * h).sum(axis=2) + d.value * u.value
-
-    def bwd(g):
-        ad._accumulate(cmat, g[:, :, None] * h)
-        ad._accumulate(d, (g * u.value).sum(axis=0))
-        lam = cmat.value * g[:, :, None]
-        _linear_recurrence(abar.value[:0:-1], lam[::-1])
-        g_abar = ad._writable(abar)
-        g_abar[1:] += lam[1:] * h[:-1]
-        abar.grad = g_abar
-        ad._accumulate(bbar, lam * u.value[:, :, None])
-        ad._accumulate(u, (bbar.value * lam).sum(axis=2) + d.value * g)
-
-    return Tensor(y, (abar, bbar, cmat, d, u), bwd)
-
-
 def selective_scan_fused(delta: Tensor, b_proj: Tensor, c_proj: Tensor,
                          a: Tensor, d_skip: Tensor, u: Tensor) -> Tensor:
     """Input-dependent scan with the ZOH discretization folded in.
 
-    Equivalent to building abar = exp(delta * a), bbar = delta * b and
-    calling `selective_scan_seq`, but as one graph node so the large
+    h_k = abar_k * h_{k-1} + bbar_k * u_k from h_{-1} = 0 and
+    y_k = <c_k, h_k> + d_skip * u_k, with abar_k = exp(delta_k * a) and
+    bbar_k = delta_k * b_k per channel, as one graph node so the large
     L x C x N intermediates never materialize as separate tensors.
 
     Shapes: delta/u L x C, b_proj/c_proj L x N, a C x N (negative),
@@ -142,16 +78,6 @@ def selective_scan_fused(delta: Tensor, b_proj: Tensor, c_proj: Tensor,
         ad._accumulate(u, lam_b * delta.value + d_skip.value * g)
 
     return Tensor(y, (delta, b_proj, c_proj, a, d_skip, u), bwd)
-
-
-def ssm_impulse_kernel(ssm: ContinuousSsm, delta: float, length: int) -> np.ndarray:
-    """Impulse response k_j = c . abar^j bbar of the discretized SSM.
-
-    The D skip term is not folded in; convolution users add d*u at lag 0.
-    """
-    abar, bbar = discretize_zoh(ssm.a, ssm.b, delta)
-    powers = abar[None, :] ** np.arange(length)[:, None]
-    return (powers * bbar * ssm.c).sum(axis=1)
 
 
 # -- Mamba block --------------------------------------------------------

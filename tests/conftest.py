@@ -72,12 +72,36 @@ def rng():
 @pytest.fixture(scope="session")
 def scan_oracle():
     """The selective scan as a plain loop over time steps, sharing no code with `ssm`:
-    h_k = abar_k h_{k-1} + bbar_k u_k from h = 0, y_k = sum_n cmat_k h_k + d u_k."""
-    def scan(abar, bbar, cmat, d, u):
-        h = np.zeros(abar.shape[1:])
+    h_k = abar_k h_{k-1} + bbar_k u_k from h = 0, y_k = sum_n cmat_k h_k + d u_k, with
+    abar = exp(delta a), bbar = delta b_proj and cmat = c_proj per channel. Takes the
+    arguments of `ssm.selective_scan_fused` as arrays."""
+    def scan(delta, b_proj, c_proj, a, d, u):
+        abar = np.exp(delta[:, :, None] * a[None])
+        bbar = delta[:, :, None] * b_proj[:, None, :]
+        h = np.zeros(a.shape)
         y = np.empty(u.shape)
         for k in range(len(u)):
             h = abar[k] * h + bbar[k] * u[k][:, None]
-            y[k] = (cmat[k] * h).sum(axis=1) + d * u[k]
+            y[k] = (c_proj[k] * h).sum(axis=1) + d * u[k]
         return y
+    return scan
+
+
+@pytest.fixture(scope="session")
+def scan_graph_oracle():
+    """The fused selective scan as a per-step graph of plain `autodiff` ops, sharing no
+    code with `ssm`, so its gradients come from the generic engine and not from the
+    scan's hand-written backward. Takes tensors delta, u (L x C), b_proj, c_proj (L x N),
+    a (C x N) and d (C); returns y (L x C)."""
+    def scan(delta, b_proj, c_proj, a, d, u):
+        L, C = u.shape
+        N = a.shape[1]
+        rows = []
+        for k in range(L):
+            dk = ad.reshape(delta[k, :], (C, 1))
+            inp = dk * ad.reshape(u[k, :], (C, 1)) * ad.reshape(b_proj[k, :], (1, N))
+            h = inp if k == 0 else ad.exp(dk * a) * h + inp
+            y_k = (h * ad.reshape(c_proj[k, :], (1, N))).sum(1) + d * u[k, :]
+            rows.append(ad.reshape(y_k, (1, C)))
+        return ad.concat(rows, axis=0)
     return scan

@@ -41,11 +41,7 @@ def test_criterion_1_scan_equivalence(scan_oracle):
         seq = ssm.selective_scan_fused(delta, b_proj, c_proj, a, d, u).value
         with ad.no_grad():
             par = ssm.selective_scan_fused(delta, b_proj, c_proj, a, d, u).value
-        # the loop takes the discretized per-channel parameters, formed here
-        abar = np.exp(delta[:, :, None] * a[None])
-        bbar = delta[:, :, None] * b_proj[:, None, :]
-        cmat = np.broadcast_to(c_proj[:, None, :], (L, C, N))
-        loop = scan_oracle(abar, bbar, cmat, d, u)
+        loop = scan_oracle(delta, b_proj, c_proj, a, d, u)
         denom = max(1.0, np.abs(seq).max())
         worst = max(worst, float(np.abs(seq - par).max() / denom))
         worst_loop = max(worst_loop, float(max(np.abs(seq - loop).max(),
@@ -66,17 +62,19 @@ def test_criterion_2_convolution_equivalence():
     for _ in range(50):
         N = int(rng.integers(1, 7))
         L = int(rng.integers(2, 200))
-        sys = ssm.ContinuousSsm(a=-rng.uniform(0.2, 2.0, N), b=rng.normal(0, 1, N),
-                                c=rng.normal(0, 1, N), d=float(rng.normal()))
+        a, b, c = -rng.uniform(0.2, 2.0, N), rng.normal(0, 1, N), rng.normal(0, 1, N)
+        d = float(rng.normal())
         delta = float(rng.uniform(0.05, 0.8))
         u = rng.normal(0, 1, L)
-        kernel = ssm.ssm_impulse_kernel(sys, delta, L)
-        y_conv = np.convolve(u, kernel)[:L] + sys.d * u
+        # impulse response k_j = c . abar^j bbar of the zero-order-hold discretization
+        abar, bbar = np.exp(delta * a), delta * b
+        kernel = (abar ** np.arange(L)[:, None] * bbar * c).sum(axis=1)
+        y_conv = np.convolve(u, kernel)[:L] + d * u
         with ad.no_grad():  # one channel, with constant delta, b and c
             y_scan = ssm.selective_scan_fused(
-                np.full((L, 1), delta), np.broadcast_to(sys.b, (L, N)).copy(),
-                np.broadcast_to(sys.c, (L, N)).copy(), sys.a[None, :],
-                np.array([sys.d]), u[:, None]).value[:, 0]
+                np.full((L, 1), delta), np.broadcast_to(b, (L, N)).copy(),
+                np.broadcast_to(c, (L, N)).copy(), a[None, :],
+                np.array([d]), u[:, None]).value[:, 0]
         worst = max(worst, float(np.abs(y_conv - y_scan).max() / max(1.0, np.abs(y_conv).max())))
     dt = time.perf_counter() - t0
     _report("2 convolution-equivalence", worst < 1e-9 and dt < 10.0,

@@ -34,6 +34,15 @@ def test_feature_file_rejects_corruption(tmp_path, rng):
     (tmp_path / "bad2.feat").write_bytes(data[:-4])  # truncated payload
     with pytest.raises(ParseError):
         fileio.read_features(tmp_path / "bad2.feat")
+    # negative dimensions whose product still fits the payload
+    (tmp_path / "bad3.feat").write_bytes(b"MGFEAT1\n-2 -3\naudio\n" + data[-24:])
+    with pytest.raises(ParseError) as e:
+        fileio.read_features(tmp_path / "bad3.feat")
+    assert e.value.line == 2 and "bad3.feat" in str(e.value)
+    for value in (np.nan, np.inf, -np.inf):  # in the last value, so row 1
+        (tmp_path / "bad4.feat").write_bytes(data[:-4] + np.float32(value).tobytes())
+        with pytest.raises(ParseError, match="bad4.feat: non-finite value in feature row 1"):
+            fileio.read_features(tmp_path / "bad4.feat")
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path, rng):
@@ -90,10 +99,11 @@ def test_float_lines_roundtrip(tmp_path):
     assert np.array_equal(fileio.read_float_lines(path), [1.0, 0.25, -3.5])
     path.write_text("1.5\n# comment\n2.5  # trailing\n\n")
     assert np.array_equal(fileio.read_float_lines(path), [1.5, 2.5])
-    path.write_text("1.5\nnope\n")
-    with pytest.raises(ParseError) as e:
-        fileio.read_float_lines(path)
-    assert e.value.line == 2
+    for entry in ("nope", "nan", "-inf"):
+        path.write_text(f"1.5\n{entry}\n")
+        with pytest.raises(ParseError) as e:
+            fileio.read_float_lines(path)
+        assert e.value.line == 2
 
 
 def test_key_values_roundtrip(tmp_path):

@@ -490,24 +490,31 @@ def _corpus_copy(tmp_path, mini_corpus, name):
     return copy
 
 
-@pytest.mark.parametrize("file, edit", [
-    ("clip_0001.labels", lambda b: b.replace(b"style=", b"stile=")),
-    ("clip_0001.labels", lambda b: b.replace(b"emotion=0\n", b"")),
-    ("clip_0001.labels", lambda b: b.replace(b"style=1", b"style=1.5")),
-    ("dataset.meta", lambda b: b.replace(b"n_styles=4", b"n_styles=four")),
-    ("dataset.meta", lambda b: b.replace(b"n_emotions=8", b"n_emotions=8.0")),
-    ("clip_0001.audio.feat", lambda b: b.replace(b"\naudio\n", b"\n\xff\xfe\n", 1)),
+@pytest.mark.parametrize("command, file, edit", [
+    ("train", "clip_0001.labels", lambda b: b.replace(b"style=", b"stile=")),
+    ("train", "clip_0001.labels", lambda b: b.replace(b"emotion=0\n", b"")),
+    ("train", "clip_0001.labels", lambda b: b.replace(b"style=1", b"style=1.5")),
+    ("train", "dataset.meta", lambda b: b.replace(b"n_styles=4", b"n_styles=four")),
+    ("train", "dataset.meta", lambda b: b.replace(b"n_emotions=8", b"n_emotions=8.0")),
+    ("train", "clip_0001.audio.feat", lambda b: b.replace(b"\naudio\n", b"\n\xff\xfe\n", 1)),
+    # two negative dimensions whose product fits the payload of 16 bytes
+    ("train", "clip_0001.audio.feat", lambda b: b"MGFEAT1\n-2 -2\naudio\n" + bytes(16)),
+    ("sample", "clip_0001.audio.feat", lambda b: b[:-4] + np.float32(np.nan).tobytes()),
+    ("eval", "clip_0000.onsets", lambda b: b + b"nan\n"),
 ], ids=["labels-no-style", "labels-no-emotion", "labels-float", "meta-word", "meta-float",
-        "feat-not-utf8"])
-def test_cli_rejects_corrupt_side_file(tmp_path, mini_corpus, capsys, file, edit):
+        "feat-not-utf8", "feat-negative-shape", "feat-nan", "onsets-nan"])
+def test_cli_rejects_corrupt_side_file(tmp_path, mini_corpus, mini_run, capsys,
+                                       command, file, edit):
     corpus = _corpus_copy(tmp_path, mini_corpus, "corrupt")
     path = corpus / file
     before = path.read_bytes()
     path.write_bytes(edit(before))
     assert path.read_bytes() != before
     cfg = tmp_path / "c.cfg"
-    cfg.write_text(f"data.dir = {corpus}\ntrain.steps = 1\n")
-    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    cfg.write_text(f"data.dir = {corpus}\ndata.checkpoint = {mini_run['checkpoint']}\n"
+                   f"data.gen_dir = {mini_corpus}\ntrain.steps = 1\n"
+                   "eval.extractor_steps = 5\n")
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error") and str(path) in err
 
