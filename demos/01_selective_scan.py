@@ -47,7 +47,8 @@ t0 = time.perf_counter()
 with ad.no_grad():
     y_free = ssm.selective_scan_fused(*args).value
 t_free = time.perf_counter() - t0
-print(f"L={L}: max |with graph - without| = {np.abs(y_graph - y_free).max():.2e}")
+# without a graph the forward runs in 16-row chunks, and gives the same bits
+print(f"L={L}: same bits with and without a graph: {np.array_equal(y_graph, y_free)}")
 print(f"with graph {t_graph * 1e3:.1f} ms, without {t_free * 1e3:.1f} ms")
 
 print("\n== gated Mamba block ==")

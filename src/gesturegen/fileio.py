@@ -88,7 +88,8 @@ def write_checkpoint(path, arrays: dict, config: dict, step: int):
 
 
 def read_checkpoint(path):
-    """Returns (arrays name -> read-only float64 ndarray, config dict of strings, step)."""
+    """Returns (arrays name -> read-only float64 ndarray, config dict of strings, step).
+    A NaN or infinity in an array is a `ParseError` that names the first such array."""
     try:
         with open(path, "rb") as f:
             if f.readline().strip() != CKPT_MAGIC:
@@ -120,6 +121,8 @@ def read_checkpoint(path):
                     raise ParseError(f"{path}: truncated array {name!r}")
                 f.read(1)  # trailing newline
                 arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(shape)
+                if not np.isfinite(arrays[name]).all():
+                    raise ParseError(f"{path}: non-finite value in array {name!r}")
     except ValueError as e:  # from int() of a shape or step, decode() or reshape()
         raise ParseError(f"{path}: {e}") from e
     return arrays, config, step

@@ -3,7 +3,9 @@
 The input-dependent selective scan (differentiable, and graph-free under
 `autodiff.no_grad`) and the gated Mamba block that wires it in. One linear
 recurrence serves the scan's forward, for the states, and its adjoint, run
-over the reversed sequence.
+over the reversed sequence. With a graph the forward keeps its L x C x N
+arrays for the backward; without one it runs over chunks of `_CHUNK` rows
+in two reused buffers that stay in cache.
 """
 from __future__ import annotations
 
@@ -18,6 +20,9 @@ from .errors import ShapeError
 SSM_STATE_DIM = 16
 SSM_EXPAND = 2
 SSM_CONV_WIDTH = 4
+
+# rows per graph-free scan chunk: its two 16 x C x N buffers (0.5 MB at C=128) fit a core's L2 cache
+_CHUNK = 16
 
 
 def _linear_recurrence(a: np.ndarray, h: np.ndarray) -> None:
@@ -34,8 +39,11 @@ def selective_scan_fused(delta: Tensor, b_proj: Tensor, c_proj: Tensor,
 
     h_k = abar_k * h_{k-1} + bbar_k * u_k from h_{-1} = 0 and
     y_k = <c_k, h_k> + d_skip * u_k, with abar_k = exp(delta_k * a) and
-    bbar_k = delta_k * b_k per channel, as one graph node so the large
-    L x C x N intermediates never materialize as separate tensors.
+    bbar_k = delta_k * b_k per channel, as one graph node. With a graph, the
+    L x C x N arrays `abar` and `h` are filled in one pass and kept for the
+    backward. Under `no_grad`, the forward runs over chunks of `_CHUNK` rows
+    in one reused pair of chunk buffers, and only the last state of a chunk
+    carries over to the next; the values are the same bits either way.
 
     Shapes: delta/u L x C, b_proj/c_proj L x N, a C x N (negative),
     d_skip C. Returns y with shape L x C.
@@ -51,17 +59,29 @@ def selective_scan_fused(delta: Tensor, b_proj: Tensor, c_proj: Tensor,
         raise ShapeError(f"fused scan projections must be L x N, got "
                          f"{b_proj.value.shape} / {c_proj.value.shape}")
 
-    # abar and h are the only L x C x N arrays kept for the backward (none under no_grad)
-    abar = delta.value[:, :, None] * a.value
-    np.exp(abar, out=abar)
-    h = (delta.value * u.value)[:, :, None] * b_proj.value[:, None, :]
-    _linear_recurrence(abar[1:], h)
-    y = np.matmul(h, c_proj.value[:, :, None])[:, :, 0] + d_skip.value * u.value
+    # abar and h: the full L x C x N arrays that the backward keeps, or one
+    # reused chunk of each under no_grad. einsum forms each element as one
+    # product, but stores a -0.0 product as +0.0.
+    rows = L if ad.is_grad_enabled() else min(L, _CHUNK)
+    abar, h = np.empty((rows, C, N)), np.empty((rows, C, N))
+    du = delta.value * u.value
+    y = np.empty((L, C))
+    for s in range(0, L, max(rows, 1)):
+        ab, hc = abar[:L - s], h[:L - s]  # the last chunk may be short
+        np.exp(np.einsum("lc,cn->lcn", delta.value[s:s + rows], a.value, out=ab), out=ab)
+        if s:  # abar_s * h_{s-1}, read before the chunk overwrites h_{s-1}
+            carry = ab[0] * h[-1]
+        np.einsum("lc,ln->lcn", du[s:s + rows], b_proj.value[s:s + rows], out=hc)
+        if s:
+            hc[0] += carry
+        _linear_recurrence(ab[1:], hc)
+        y[s:s + rows] = np.matmul(hc, c_proj.value[s:s + rows, :, None])[:, :, 0]
+    y += d_skip.value * u.value
 
     def bwd(g):
         ad._accumulate(c_proj, np.matmul(g[:, None, :], h)[:, 0])
         ad._accumulate(d_skip, (g * u.value).sum(axis=0))
-        lam = c_proj.value[:, None, :] * g[:, :, None]
+        lam = np.einsum("ln,lc->lcn", c_proj.value, g)
         _linear_recurrence(abar[:0:-1], lam[::-1])
         # chain through bbar = delta * b (lam_b = sum_n lam * b) and, from k = 1 on
         # (h_{-1} = 0), through abar = exp(delta * a): g_da = dL / d(delta * a)

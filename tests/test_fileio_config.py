@@ -62,6 +62,15 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, rng):
     assert path.read_bytes() == (tmp_path / "m2.ckpt").read_bytes()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_names_the_first_array_with_a_non_finite_value(tmp_path, value):
+    path = tmp_path / "m.ckpt"
+    fileio.write_checkpoint(path, {"a": np.ones(3), "b": np.array([1.0, value]),
+                                   "c": np.full(2, np.nan)}, {}, step=1)
+    with pytest.raises(ParseError, match=r"m\.ckpt: non-finite value in array 'b'"):
+        fileio.read_checkpoint(path)
+
+
 def test_checkpoint_failed_write_keeps_old_file(tmp_path, rng):
     path = tmp_path / "m.ckpt"
     fileio.write_checkpoint(path, {"w": rng.normal(0, 1, (3, 4))}, {"model.d": 64}, step=1)

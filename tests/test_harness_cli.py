@@ -264,6 +264,23 @@ def test_extractor_cache_with_a_bad_shape_line_is_retrained(tmp_path, mini_cfg):
     assert all(np.array_equal(ext.named()[k].value, p.value) for k, p in trained.named().items())
 
 
+def test_extractor_cache_with_a_nan_is_retrained(tmp_path, mini_cfg):
+    corpus = tmp_path / "data"
+    synthetic.gen_synthetic_dataset(
+        synthetic.SyntheticSpec(n_clips=3, frames=20, joints=2, seed=3), corpus)
+    cfg = dict(mini_cfg, **{"eval.extractor_steps": 3, "eval.extractor_hidden": 8})
+    trained, _ = harness.get_extractor(corpus, cfg)
+    cache = corpus / "fgd_extractor.ckpt"
+    arrays, header, step = read_checkpoint(cache)
+    write_checkpoint(cache, arrays | {"dec_b2": np.full_like(arrays["dec_b2"], np.nan)},
+                     header, step)
+    with pytest.raises(ParseError, match="'dec_b2'"):
+        read_checkpoint(cache)
+    ext, _ = harness.get_extractor(corpus, cfg)
+    assert all(np.array_equal(ext.named()[k].value, p.value) for k, p in trained.named().items())
+    assert all(np.isfinite(v).all() for v in read_checkpoint(cache)[0].values())
+
+
 def _x0_digest(corpus):
     h = hashlib.sha256()
     for r in synthetic.load_dataset(corpus).records:
@@ -624,6 +641,23 @@ def test_cli_sample_rejects_corrupt_checkpoint(tmp_path, mini_run, mini_corpus, 
     cfg.write_text(f"data.dir = {mini_corpus}\ndata.checkpoint = {ckpt}\n")
     assert cli.main(["sample", "--config", str(cfg), "--out", str(tmp_path / "gen")]) == 3
     assert capsys.readouterr().err.startswith(f"data error: {ckpt}")
+
+
+def test_cli_sample_names_a_checkpoint_array_with_a_nan(tmp_path, mini_run, mini_corpus,
+                                                        capsys):
+    """Before, the NaN reached the rotation fit and ended in an SVD traceback."""
+    arrays, header, step = read_checkpoint(mini_run["checkpoint"])
+    beta = arrays["denoiser.block0.ln1_beta"].copy()
+    beta[0] = np.nan
+    ckpt = tmp_path / "model.ckpt"
+    write_checkpoint(ckpt, arrays | {"denoiser.block0.ln1_beta": beta}, header, step)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"data.dir = {mini_corpus}\ndata.checkpoint = {ckpt}\n")
+    out = tmp_path / "gen"
+    assert cli.main(["sample", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(
+        f"data error: {ckpt}: non-finite value in array 'denoiser.block0.ln1_beta'")
+    assert not list(out.glob("*.bvh"))
 
 
 def test_cli_sample_rejects_a_checkpoint_array_of_another_shape(tmp_path, mini_run,

@@ -2,6 +2,7 @@
 per-step loop, a per-step chain of autodiff ops and an impulse-kernel convolution;
 its causality, and Mamba block behavior."""
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,17 +23,43 @@ def random_scan_case(rng, L, C=3, N=4):
 
 
 @pytest.mark.parametrize("L", [1, 2, 7, 64, 300, 512])
-def test_parallel_matches_sequential(L, rng, scan_oracle):
-    """The scan with a graph, without one (`no_grad`) and a plain per-step loop agree."""
+def test_scan_without_graph_matches_graph_and_loop(L, rng, scan_oracle):
+    """The scan without a graph (`no_grad`) gives the same bits as with one, and both
+    agree with a plain per-step loop."""
     case = random_scan_case(rng, L)
     graph = ssm.selective_scan_fused(*(ad.tensor(v) for v in case)).value
     with ad.no_grad():
         free = ssm.selective_scan_fused(*case).value
     loop = scan_oracle(*case)
     denom = max(1.0, np.abs(graph).max())
-    assert np.abs(graph - free).max() / denom < 1e-12
+    assert np.array_equal(graph, free)
     assert np.abs(graph - loop).max() / denom < 1e-12
-    assert np.abs(free - loop).max() / denom < 1e-12
+
+
+@pytest.mark.parametrize("L", [1, 15, 16, 17, 32, 33, 60, 300])
+def test_scan_without_graph_is_bit_equal_across_chunks(L):
+    """At the model's scan width, lengths below, at and past multiples of the
+    graph-free chunk give the same bytes with and without a graph."""
+    for seed in range(3):
+        case = random_scan_case(np.random.default_rng(seed), L, C=128, N=16)
+        graph = ssm.selective_scan_fused(*(ad.tensor(v) for v in case)).value
+        with ad.no_grad():
+            free = ssm.selective_scan_fused(*case).value
+        assert graph.tobytes() == free.tobytes(), seed
+
+
+def test_scan_without_graph_holds_no_full_state_array():
+    """Under `no_grad` the scan's peak allocation stays below one L x C x N float64 array."""
+    L, C, N = 300, 128, 16
+    case = random_scan_case(np.random.default_rng(0), L, C, N)
+    with ad.no_grad():
+        tracemalloc.start()
+        try:
+            ssm.selective_scan_fused(*case)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < L * C * N * 8
 
 
 def test_parallel_rejects_mismatched_shapes(rng):
