@@ -1,4 +1,4 @@
-"""BVH motion I/O: write, parse, convert, resample, segment, select.
+"""BVH motion I/O: write, parse, convert, resample, segment.
 
 Motion clips carry per-joint Euler channels in degrees; rotation-matrix
 and flat-feature views are derived, and temporal ops use pure index
@@ -13,7 +13,7 @@ rng = np.random.default_rng(0)
 
 print("== build a clip on a 4-joint chain and round-trip it ==")
 skel = chain_skeleton(4)
-layout = bvh.JointLayout(skel.joint_names(), skel.rotation_orders())
+layout = skel.layout()
 clip = bvh.MotionClip(120.0, rng.normal(0, 1, (120, 3)),
                       rng.uniform(-60, 60, (120, 4, 3)), layout)
 text = bvh.write_bvh(skel, clip)
@@ -35,11 +35,6 @@ print(f"{clip.frames} frames @120Hz -> {down.frames} frames @{down.fps:g}Hz "
       f"(keeps every 4th frame: {np.array_equal(down.rotations, clip.rotations[::4])})")
 segments = bvh.segment_clips(down, length=10, stride=10)
 print(f"segmented into {len(segments)} windows of 10 frames")
-
-print("\n== joint subsets ==")
-subset = bvh.load_joint_subset("translation\nroot\njoint2\n", layout)
-picked = bvh.select_joints(clip, subset)
-print(f"selected slots {subset.indices} -> joints {picked.layout.names}")
 
 print("\n== flat feature vectors (what the model trains on) ==")
 feats = bvh.clip_to_features(clip)

@@ -1,10 +1,10 @@
-"""BVH motion I/O: parse/emit, representation conversion, resampling,
-segmentation, and joint-subset selection.
+"""BVH motion I/O: parse/emit, representation conversion, resampling and
+segmentation.
 
-Layout convention: the root translation occupies pseudo-joint index 0 of
-the selection layout; rotation joint j of the skeleton is index j + 1.
-A clip's rotation width is its representation: 3 for Euler degrees, as in
-files, 9 for row-major matrices; conversions work in radians internally.
+A clip's joint layout is its skeleton's: the joints' names and rotation
+channel orders, in hierarchy order. A clip's rotation width is its
+representation: 3 for Euler degrees, as in files, 9 for row-major
+matrices; conversions work in radians internally.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataError, ParseError, ShapeError
-from .fileio import entries, read_text
+from .fileio import read_text
 from .rotations import euler_to_rotmat, nearest_rotation, rotmat_to_euler
 
 _POSITION_CHANNELS = {"Xposition", "Yposition", "Zposition"}
@@ -46,11 +46,9 @@ class Skeleton:
             if j.parent >= i:
                 raise ShapeError("skeleton joints must be in topological order")
 
-    def rotation_orders(self):
-        return [_rotation_order(j.channels) for j in self.joints]
-
-    def joint_names(self):
-        return [j.name for j in self.joints]
+    def layout(self) -> JointLayout:
+        return JointLayout([j.name for j in self.joints],
+                           [_rotation_order(j.channels) for j in self.joints])
 
 
 @dataclass
@@ -86,20 +84,6 @@ class MotionClip:
     @property
     def frames(self):
         return self.rotations.shape[0]
-
-
-@dataclass
-class JointSubset:
-    """Strictly increasing indices into the selection layout (0 = translation)."""
-
-    name: str
-    indices: list
-
-    def __post_init__(self):
-        if len(self.indices) == 0:
-            raise ValueError(f"joint subset {self.name!r} is empty")
-        if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
-            raise ValueError(f"joint subset {self.name!r} indices must be strictly increasing")
 
 
 def _rotation_order(channels) -> str:
@@ -147,7 +131,6 @@ def parse_bvh(text: str):
 
     take("HIERARCHY", 1)
     joints: list = []
-    orders: list = []
     end_sites: dict = {}
     open_joints: list = []  # indices of the joints whose braces are open, innermost last
     while True:  # one joint declaration per pass, then its body up to the next JOINT
@@ -179,7 +162,6 @@ def parse_bvh(text: str):
             raise ParseError(f"position channels only allowed on the root (joint {name!r})", line=ln)
         open_joints.append(len(joints))
         joints.append(BvhJoint(name, parent, offset, channels))
-        orders.append(order)
         while open_joints:
             ln, words = toks[pos] if pos < len(toks) else (len(lines), ["<eof>"])
             if words[0] == "JOINT":
@@ -236,8 +218,7 @@ def parse_bvh(text: str):
     root_translation = np.zeros((n_frames, 3))
     root_translation[:, pos_axes] = data[:, pos_cols]
     rotations = data[:, rot_cols].reshape(n_frames, len(joints), 3)
-    layout = JointLayout([j.name for j in joints], orders)
-    clip = MotionClip(1.0 / frame_time, root_translation, rotations, layout)
+    clip = MotionClip(1.0 / frame_time, root_translation, rotations, skeleton.layout())
     return skeleton, clip
 
 
@@ -414,38 +395,6 @@ def segment_clips(clip: MotionClip, length: int, stride: int):
                               clip.rotations[start:start + length].copy(), clip.layout))
         start += stride
     return out
-
-
-def select_joints(clip: MotionClip, subset: JointSubset) -> MotionClip:
-    """Restrict to a subset of the selection layout (0 = root translation)."""
-    J = clip.layout.joint_count
-    for i in subset.indices:
-        if not 0 <= i <= J:
-            raise IndexError(f"subset index {i} outside layout of {J + 1} slots")
-    keep_translation = subset.indices[0] == 0
-    rot_idx = [i - 1 for i in subset.indices if i > 0]
-    if not rot_idx:
-        raise ValueError("subset selects no rotation joints")
-    trans = clip.root_translation.copy() if keep_translation else np.zeros((clip.frames, 3))
-    layout = JointLayout([clip.layout.names[i] for i in rot_idx],
-                         [clip.layout.orders[i] for i in rot_idx])
-    return MotionClip(clip.fps, trans, clip.rotations[:, rot_idx].copy(), layout)
-
-
-def load_joint_subset(text: str, layout: JointLayout, name: str = "subset") -> JointSubset:
-    """Subset definition: one joint name per line, '#' comments.
-
-    The literal name 'translation' selects the root-translation slot.
-    """
-    wanted = []
-    for ln, entry in entries(text):
-        if entry == "translation":
-            wanted.append(0)
-        elif entry in layout.names:
-            wanted.append(layout.names.index(entry) + 1)
-        else:
-            raise ParseError(f"unknown joint name {entry!r}", line=ln)
-    return JointSubset(name, sorted(set(wanted)))
 
 
 # -- flat feature vectors ----------------------------------------------

@@ -115,7 +115,7 @@ def load_config(path=None, preset: str = "toy", overrides: dict | None = None) -
     for key, least in MINIMUMS.items():
         if cfg[key] < least:
             raise ConfigError(f"{key} must be at least {least}, got {cfg[key]}")
-    for key in ("eval.sigma", "synthetic.fps"):
+    for key in ("eval.sigma", "eval.threshold", "train.huber_delta", "synthetic.fps"):
         if cfg[key] <= 0:
             raise ConfigError(f"{key} must be positive, got {cfg[key]}")
     return cfg

@@ -66,7 +66,7 @@ def emotion_frequency(emotion_id: int) -> float:
     return 0.5 + 0.2 * emotion_id
 
 
-def _clip_motion(spec: SyntheticSpec, style_id: int, emotion_id: int,
+def _clip_motion(spec: SyntheticSpec, layout: JointLayout, style_id: int, emotion_id: int,
                  rng: np.random.Generator) -> MotionClip:
     t = np.arange(spec.frames) / spec.fps
     freq = emotion_frequency(emotion_id)
@@ -74,8 +74,6 @@ def _clip_motion(spec: SyntheticSpec, style_id: int, emotion_id: int,
     phase = rng.uniform(0.0, 2 * np.pi, (spec.joints, 3))
     angles = amp[None] * np.sin(2 * np.pi * freq * t[:, None, None] + phase[None])
     trans = 0.05 * np.sin(2 * np.pi * freq * t[:, None] + rng.uniform(0, 2 * np.pi, 3))
-    layout = JointLayout(["root"] + [f"joint{i}" for i in range(1, spec.joints)],
-                         ["ZXY"] * spec.joints)
     return MotionClip(spec.fps, trans, angles, layout)
 
 
@@ -103,13 +101,14 @@ def gen_synthetic_dataset(spec: SyntheticSpec, out_dir) -> list:
     p_mod = rng.normal(0.0, 0.3, (d_lat, spec.d_audio))
     p_text = rng.normal(0.0, 1.0, (spec.latent_dim, spec.d_text))
     skeleton = chain_skeleton(spec.joints)
+    layout = skeleton.layout()
 
     names = []
     t_sec = np.arange(spec.frames) / spec.fps
     for i in range(spec.n_clips):
         style_id = i % spec.n_styles
         emotion_id = (i // spec.n_styles) % spec.n_emotions
-        clip = _clip_motion(spec, style_id, emotion_id, rng)
+        clip = _clip_motion(spec, layout, style_id, emotion_id, rng)
         z = rng.normal(0.0, 1.0, spec.latent_dim)
         latent = _clip_latent(spec, style_id, emotion_id, z)
         carrier = np.sin(2 * np.pi * emotion_frequency(emotion_id) * t_sec)
@@ -175,9 +174,14 @@ def load_dataset(directory) -> Dataset:
         meta = read_key_values(meta_path)
         meta |= _int_entries(meta_path, meta, [k for k in ("n_styles", "n_emotions") if k in meta])
 
+    first_name, skeleton, first = clips[0]
+    joints = [(j.name, j.parent) for j in skeleton.joints]  # one skeleton per corpus
     records = []
     widths = {}  # each modality's feature width, from the first clip
-    for name, _, clip in clips:
+    for name, skel, clip in clips:
+        if [(j.name, j.parent) for j in skel.joints] != joints:
+            raise DataError(f"{directory / name}.bvh: joint names or parents differ from "
+                            f"those of {first_name}.bvh")
         feats = {}
         for modality in ("audio", "text"):
             path = directory / f"{name}.{modality}.feat"
@@ -202,5 +206,4 @@ def load_dataset(directory) -> Dataset:
     shapes = {r.x0.shape for r in records}
     if len(shapes) != 1:
         raise DataError(f"corpus clips have heterogeneous shapes: {sorted(shapes)}")
-    _, skeleton, first = clips[0]
     return Dataset(records, skeleton, first.layout, meta)

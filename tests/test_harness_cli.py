@@ -457,6 +457,9 @@ def test_cli_exit_codes(tmp_path, mini_corpus, capsys):
     train_cfg = f"data.dir = {mini_corpus}\ntrain.steps = 1\nmodel.layers = 1\n"
     for command, base, line in [("eval", gen_cfg, "eval.sigma = 0"),
                                 ("eval", gen_cfg, "eval.sigma = -0.1"),
+                                ("eval", gen_cfg, "eval.threshold = 0"),
+                                ("train", train_cfg, "train.huber_delta = 0"),
+                                ("train", train_cfg, "train.huber_delta = -1"),
                                 ("eval", gen_cfg, "eval.n_diversity = 0"),
                                 ("eval", gen_cfg, "eval.n_diversity = 1"),
                                 ("sample", ckpt_cfg, "sample.max_conditions = -1"),
@@ -518,8 +521,10 @@ def _corpus_copy(tmp_path, mini_corpus, name):
     ("train", "clip_0001.audio.feat", lambda b: b"MGFEAT1\n-2 -2\naudio\n" + bytes(16)),
     ("sample", "clip_0001.audio.feat", lambda b: b[:-4] + np.float32(np.nan).tobytes()),
     ("eval", "clip_0000.onsets", lambda b: b + b"nan\n"),
+    # a corpus keeps one skeleton: a renamed joint would be paired by index with another
+    ("train", "clip_0001.bvh", lambda b: b.replace(b"JOINT joint1", b"JOINT elbow")),
 ], ids=["labels-no-style", "labels-no-emotion", "labels-float", "meta-word", "meta-float",
-        "feat-not-utf8", "feat-negative-shape", "feat-nan", "onsets-nan"])
+        "feat-not-utf8", "feat-negative-shape", "feat-nan", "onsets-nan", "bvh-renamed-joint"])
 def test_cli_rejects_corrupt_side_file(tmp_path, mini_corpus, mini_run, capsys,
                                        command, file, edit):
     corpus = _corpus_copy(tmp_path, mini_corpus, "corrupt")

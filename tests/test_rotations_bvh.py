@@ -107,10 +107,9 @@ def test_invalid_order_rejected():
 
 def _random_clip(rng, joints=3, frames=5, fps=30.0, with_translation=True):
     skel = chain_skeleton(joints)
-    layout = bvh.JointLayout(skel.joint_names(), skel.rotation_orders())
     trans = rng.normal(0, 1, (frames, 3)) if with_translation else np.zeros((frames, 3))
     angles = rng.uniform(-90, 90, (frames, joints, 3))
-    return skel, bvh.MotionClip(fps, trans, angles, layout)
+    return skel, bvh.MotionClip(fps, trans, angles, skel.layout())
 
 
 @pytest.mark.parametrize("joints,frames", [(1, 3), (2, 5), (4, 8), (8, 10), (6, 2)])
@@ -118,7 +117,7 @@ def test_write_parse_roundtrip(joints, frames, rng):
     skel, clip = _random_clip(rng, joints, frames)
     text = bvh.write_bvh(skel, clip)
     skel2, clip2 = bvh.parse_bvh(text)
-    assert skel2.joint_names() == skel.joint_names()
+    assert skel2.layout() == skel.layout()
     assert np.abs(clip2.rotations - clip.rotations).max() < 1e-6
     assert np.abs(clip2.root_translation - clip.root_translation).max() < 1e-6
     assert abs(clip2.fps - clip.fps) < 1e-6
@@ -314,10 +313,11 @@ Frame Time: 0.033333333333
 
 def test_tree_roundtrip_keeps_sibling_and_end_site_order():
     skel, clip = bvh.parse_bvh(TREE_BVH)
-    assert skel.joint_names() == ["hips", "spine", "head", "arm", "leg"]
     assert [j.parent for j in skel.joints] == [None, 0, 1, 1, 0]
     assert sorted(skel.end_sites) == [2, 4]
-    assert clip.layout.orders == ["ZXY", "ZXY", "ZXY", "XYZ", "ZXY"]
+    assert clip.layout == skel.layout()
+    assert clip.layout == bvh.JointLayout(["hips", "spine", "head", "arm", "leg"],
+                                          ["ZXY", "ZXY", "ZXY", "XYZ", "ZXY"])
     assert bvh.write_bvh(skel, clip) == TREE_BVH
 
 
@@ -412,8 +412,7 @@ def test_write_rows_match_per_value_format():
               -123.4567895, 1e20, -1e20, 1e-300, -1e-300, 179.9999996, 359.9999994]
     values = np.array(tricky).reshape(-1, 3)
     skel = chain_skeleton(1)
-    layout = bvh.JointLayout(skel.joint_names(), skel.rotation_orders())
-    clip = bvh.MotionClip(30.0, values, values[:, None, ::-1], layout)
+    clip = bvh.MotionClip(30.0, values, values[:, None, ::-1], skel.layout())
     rows = bvh.write_bvh(skel, clip).splitlines()[-len(values):]
     for row, trans, angles in zip(rows, clip.root_translation, clip.rotations[:, 0]):
         assert row == " ".join(f"{v:.6f}" for v in [*trans, *angles])
@@ -445,29 +444,6 @@ def test_segment_index_oracle(rng):
     assert bvh.segment_clips(clip, length=11, stride=1) == []
     with pytest.raises(ValueError):
         bvh.segment_clips(clip, 0, 1)
-
-
-def test_select_joints_and_subset_file(rng):
-    _, clip = _random_clip(rng, 4, 3)
-    sub = bvh.load_joint_subset("translation\nroot\njoint2  # comment\n", clip.layout)
-    assert sub.indices == [0, 1, 3]
-    picked = bvh.select_joints(clip, sub)
-    assert picked.layout.names == ["root", "joint2"]
-    assert np.array_equal(picked.rotations, clip.rotations[:, [0, 2]])
-    assert np.array_equal(picked.root_translation, clip.root_translation)
-
-    no_trans = bvh.select_joints(clip, bvh.JointSubset("x", [2]))
-    assert np.array_equal(no_trans.root_translation, np.zeros((3, 3)))
-
-    with pytest.raises(ParseError) as e:
-        bvh.load_joint_subset("root\nnope\n", clip.layout)
-    assert e.value.line == 2
-    with pytest.raises(ValueError):
-        bvh.JointSubset("bad", [2, 1])
-    with pytest.raises(ValueError):
-        bvh.JointSubset("empty", [])
-    with pytest.raises(ValueError):
-        bvh.select_joints(clip, bvh.JointSubset("t-only", [0]))
 
 
 # -- feature vectors ----------------------------------------------------

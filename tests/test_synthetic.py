@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from gesturegen import synthetic
+from gesturegen.bvh import (JointLayout, MotionClip, clip_to_euler, clip_to_rotmat, read_bvh,
+                            write_bvh)
 from gesturegen.errors import DataError
 
 
@@ -22,12 +24,14 @@ def test_spec_validation():
         small_spec(n_emotions=4)
 
 
-def test_chain_skeleton_layout():
+def test_chain_skeleton_layout(tmp_path):
     sk = synthetic.chain_skeleton(3)
-    assert sk.joint_names() == ["root", "joint1", "joint2"]
+    assert sk.layout() == JointLayout(["root", "joint1", "joint2"], ["ZXY"] * 3)
     assert sk.joints[0].channels[:3] == ["Xposition", "Yposition", "Zposition"]
-    assert sk.rotation_orders() == ["ZXY"] * 3
     assert 2 in sk.end_sites
+    synthetic.gen_synthetic_dataset(small_spec(), tmp_path / "d")
+    _, clip = read_bvh(tmp_path / "d" / "clip_0000.bvh")
+    assert clip.layout == sk.layout()
 
 
 def test_dataset_files_complete(tmp_path):
@@ -75,6 +79,30 @@ def test_load_dataset_roundtrip(tmp_path):
     # labels cycle style-major
     assert ds.records[1].style_id == 1
     assert ds.records[2].emotion_id == 1
+
+
+def test_load_dataset_keeps_one_skeleton_but_not_one_channel_order(tmp_path):
+    """Clips are paired joint by joint, so their joint names and parents must
+    agree (a renamed joint is a CLI exit-code case); x0 is in matrices, so a
+    clip may store another Euler order."""
+    d = tmp_path / "d"
+    synthetic.gen_synthetic_dataset(small_spec(), d)
+    x0 = synthetic.load_dataset(d).records[1].x0
+    path = d / "clip_0001.bvh"
+    skel, clip = read_bvh(path)
+    skel.joints[1].channels = ["Xrotation", "Yrotation", "Zrotation"]
+    rm = clip_to_rotmat(clip)
+    clip = clip_to_euler(MotionClip(rm.fps, rm.root_translation, rm.rotations, skel.layout()))
+    path.write_text(write_bvh(skel, clip))
+    record = synthetic.load_dataset(d).records[1]
+    assert record.clip.layout.orders == ["ZXY", "XYZ", "ZXY"]
+    assert np.abs(record.x0 - x0).max() < 1e-6
+
+    skel.joints[2].parent = 0  # same names, joint2 now hangs from the root
+    path.write_text(write_bvh(skel, clip))
+    with pytest.raises(DataError) as e:
+        synthetic.load_dataset(d)
+    assert str(path) in str(e.value)
 
 
 def test_load_dataset_requires_clips(tmp_path):
