@@ -407,15 +407,12 @@ def clip_to_features(clip: MotionClip) -> np.ndarray:
     return np.concatenate([rm.root_translation, rm.rotations.reshape(F, -1)], axis=1)
 
 
-def features_to_clip(features: np.ndarray, fps: float, layout: JointLayout,
-                     orthonormalize: bool = True) -> MotionClip:
-    """Inverse of `clip_to_features`; snaps blocks onto SO(3) by default."""
+def features_to_clip(features: np.ndarray, fps: float, layout: JointLayout) -> MotionClip:
+    """Inverse of `clip_to_features`, with each block snapped onto SO(3)."""
     features = np.asarray(features, dtype=np.float64)
     J = layout.joint_count
     if features.ndim != 2 or features.shape[1] != 3 + 9 * J:
         raise ShapeError(f"features {features.shape} do not match {J}-joint layout")
     F = features.shape[0]
-    rot = features[:, 3:].reshape(F, J, 9)
-    if orthonormalize:
-        rot = nearest_rotation(rot.reshape(F, J, 3, 3)).reshape(F, J, 9)
+    rot = nearest_rotation(features[:, 3:].reshape(F, J, 3, 3)).reshape(F, J, 9)
     return MotionClip(fps, features[:, :3].copy(), rot, layout)

@@ -148,7 +148,7 @@ class AdamW:
     scratch buffers of one block; they live only during the step, so they add
     nothing to a training step's peak memory."""
 
-    def __init__(self, params: dict, lr: float = 3e-5, weight_decay: float = 1e-4):
+    def __init__(self, params: dict, lr: float, weight_decay: float = 1e-4):
         self.params = params
         self.lr = lr
         self.weight_decay = weight_decay

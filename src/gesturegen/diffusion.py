@@ -22,7 +22,7 @@ class DiffusionSchedule:
     coef_xt: np.ndarray  # weight on the current noisy sample
 
 
-def build_schedule(steps: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> DiffusionSchedule:
+def build_schedule(steps: int, beta_start: float, beta_end: float) -> DiffusionSchedule:
     """Linear beta schedule with posterior coefficients for x0-prediction."""
     if steps < 1:
         raise ConfigError(f"diffusion steps must be >= 1, got {steps}")

@@ -23,11 +23,13 @@ SEA = "SEA"
 SEAD_BASIC = "SEAD_BASIC"
 SEAD = "SEAD"
 FUSION_MODES = (SA, SEA, SEAD_BASIC, SEAD)
+N_EMOTIONS = 8  # BEAT's emotion classes
 
 
 @dataclass
 class ModelSpec:
-    """The whole model. Fields: the `model.*` key suffixes, then those of `harness.WIDTH_KEYS`."""
+    """The whole model. Fields: the `model.*` key suffixes, then those of
+    `harness.WIDTH_KEYS`, then the two conv widths, which have no config key."""
 
     d: int = 256
     layers: int = 8
@@ -44,8 +46,7 @@ class ModelSpec:
     d_audio: int = 64          # raw per-frame audio feature width
     d_text: int = 32           # raw per-frame text feature width
     n_styles: int = 4
-    n_emotions: int = 8
-    mamba_conv_width: int = ssm.SSM_CONV_WIDTH  # the two conv widths have no config key
+    mamba_conv_width: int = ssm.SSM_CONV_WIDTH
     block_conv_width: int = 3
 
     def __post_init__(self):
@@ -76,8 +77,8 @@ class ConditionBundle:
 
     f_a: Tensor                  # F x d_audio, raw audio features
     f_text: Tensor               # F x d
-    f_s: Optional[Tensor]        # d
-    f_e: Optional[Tensor]        # d
+    f_s: Tensor                  # d
+    f_e: Tensor                  # d
     f_t: Tensor                  # d
     f_g: Tensor                  # F x d
 
@@ -103,7 +104,7 @@ class FusionOutput:
 class FusionWeights(ad.Params):
     spec: ModelSpec
     style_enc: Tensor     # n_styles x d, bias-free
-    emotion_enc: Tensor   # n_emotions x d, bias-free
+    emotion_enc: Tensor   # N_EMOTIONS x d, bias-free
     text_w: Tensor        # d_text x d
     text_b: Tensor
     gesture_w: Tensor     # gesture_dim x d
@@ -132,7 +133,7 @@ def init_fusion(spec: ModelSpec, rng: np.random.Generator, init_std: float = 0.0
     return FusionWeights(
         spec=spec,
         style_enc=t((spec.n_styles, d)),
-        emotion_enc=t((spec.n_emotions, d)),
+        emotion_enc=t((N_EMOTIONS, d)),
         text_w=t((spec.d_text, d)), text_b=z(d),
         gesture_w=t((spec.gesture_dim, d)), gesture_b=z(d),
         time_w1=t((d, d)), time_b1=z(d),
@@ -180,8 +181,8 @@ def encode_conditions(weights: FusionWeights, audio: np.ndarray, text: np.ndarra
         raise ShapeError(f"text features {text.shape} misaligned with audio {audio.shape}")
     if not 0 <= style_id < spec.n_styles:
         raise ShapeError(f"style id {style_id} outside {spec.n_styles} classes")
-    if not 0 <= emotion_id < spec.n_emotions:
-        raise ShapeError(f"emotion id {emotion_id} outside {spec.n_emotions} classes")
+    if not 0 <= emotion_id < N_EMOTIONS:
+        raise ShapeError(f"emotion id {emotion_id} outside {N_EMOTIONS} classes")
     f_s = weights.style_enc[style_id, :]
     f_e = weights.emotion_enc[emotion_id, :]
     f_text = ad.matmul(ad.tensor(text), weights.text_w) + weights.text_b
@@ -244,8 +245,6 @@ def cross_local_attention(weights: FusionWeights, x: Tensor) -> Tensor:
 
 def mask_conditions(f_s: Tensor, f_e: Tensor, p: float, rng: np.random.Generator):
     """Independently zero the whole-clip style/emotion features with prob p."""
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError(f"mask probability {p} outside [0, 1]")
     keep_s = 0.0 if rng.random() < p else 1.0
     keep_e = 0.0 if rng.random() < p else 1.0
     return f_s * keep_s, f_e * keep_e
@@ -264,11 +263,6 @@ def fusion_forward(weights: FusionWeights, bundle: ConditionBundle) -> FusionOut
     sum to `spec.concat_width` fail the `local_w` matmul with a ShapeError."""
     mode = weights.spec.mode
     frames = bundle.frames
-    if bundle.f_s is None:
-        raise ConfigError("fusion requires a style feature")
-    if mode != SA and bundle.f_e is None:
-        raise ConfigError(f"{mode} fusion requires an emotion feature")
-
     da = None
     if mode in (SA, SEA):
         audio_slot = bundle.f_a

@@ -19,19 +19,18 @@ from .config import DEFAULTS, load_config
 from .diffusion import build_schedule, sample_loop
 from .errors import ConfigError, DataError, GestureGenError, NumericalError, ParseError
 from .fileio import read_checkpoint, write_checkpoint, write_report
-from .synthetic import Dataset, SyntheticSpec, load_dataset
+from .synthetic import Dataset, check_joints, load_dataset
 
 LOSS_HEADER = ["step", "l_total", "l_g", "l_s", "l_e"]
-WIDTH_KEYS = ("data.gesture_dim", "data.d_audio", "data.d_text", "data.n_styles", "data.n_emotions")
+WIDTH_KEYS = ("data.gesture_dim", "data.d_audio", "data.d_text", "data.n_styles")
 
 
 def _corpus_widths(dataset: Dataset):
-    """(gesture, audio, text, styles, emotions) widths of a corpus, as in `WIDTH_KEYS`;
+    """(gesture, audio, text, styles) widths of a corpus, as in `WIDTH_KEYS`;
     the feature widths are those of the clips' arrays, whatever the meta says."""
     first = dataset.records[0]
     return (dataset.gesture_dim, first.audio.shape[1], first.text.shape[1],
-            dataset.meta.get("n_styles", max(r.style_id for r in dataset.records) + 1),
-            dataset.meta.get("n_emotions", SyntheticSpec.n_emotions))
+            dataset.meta.get("n_styles", max(r.style_id for r in dataset.records) + 1))
 
 
 def _model_spec(cfg: dict, widths) -> fu.ModelSpec:
@@ -136,7 +135,7 @@ def run_sample(checkpoint_path, conditions_dir, n: int, seed: int, out_dir,
         for k in range(n):
             feats = sample_loop(denoise, rec.x0.shape, schedule,
                                 seed=seed * 1_000_003 + ci * 1_000 + k)
-            clip = features_to_clip(feats, dataset.fps, dataset.layout, orthonormalize=True)
+            clip = features_to_clip(feats, dataset.fps, dataset.layout)
             euler = clip_to_euler(clip)
             path = out / f"{rec.name}.sample{k:02d}.bvh"
             path.write_text(write_bvh(dataset.skeleton, euler))
@@ -178,7 +177,6 @@ def run_eval(gen_dir, ref_dir, cfg: dict, out_dir=None) -> dict:
     ext, ref = get_extractor(ref_dir, cfg)
     gen = read_bvh_dir(gen_dir)
     gen_mats = [clip_to_features(c) for _, _, c in gen]
-    as_rotmat = lambda feats, c: features_to_clip(feats, c.fps, c.layout, orthonormalize=False)
 
     ref_feats = ext.features([r.x0 for r in ref.records])
     gen_feats = ext.features(gen_mats)
@@ -195,15 +193,15 @@ def run_eval(gen_dir, ref_dir, cfg: dict, out_dir=None) -> dict:
     # back to index order
     by_name = {r.name: r for r in ref.records}
     aligns, srgrs = [], []
-    for i, ((name, _, clip), mat) in enumerate(zip(gen, gen_mats)):
+    for i, ((name, skel, clip), mat) in enumerate(zip(gen, gen_mats)):
+        check_joints(Path(gen_dir) / f"{name}.bvh", skel, ref.skeleton,
+                     f"the reference corpus {ref_dir}")
         rec = by_name.get(name.split(".")[0], ref.records[i % len(ref.records)])
         if rec.onsets.size == 0:
             raise DataError(f"reference clip {rec.name} has no onsets in {ref_dir}")
         aligns.append(mt.beat_align(rec.onsets, mt.detect_gesture_beats(clip),
                                     sigma=cfg["eval.sigma"]))
-        # threshold lives in rotation-matrix element space
-        srgrs.append(mt.srgr(as_rotmat(mat, clip), as_rotmat(rec.x0, rec.clip),
-                             threshold=cfg["eval.threshold"]))
+        srgrs.append(mt.srgr(mat, rec.x0, cfg["eval.threshold"]))
     report["beat_align"] = float(np.mean(aligns))
     report["srgr"] = float(np.mean(srgrs))
 

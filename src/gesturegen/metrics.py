@@ -9,7 +9,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .bvh import MotionClip, clip_to_features
+from .bvh import MotionClip
 from .denoiser import AdamW
 from .errors import DataError, ShapeError
 
@@ -72,8 +72,7 @@ class FeatureExtractor(ad.Params):
 
 
 def _corpus_features(clips, frames=None, dim=None):
-    mats = [clip_to_features(c) if isinstance(c, MotionClip) else np.asarray(c, dtype=np.float64)
-            for c in clips]
+    mats = [np.asarray(c, dtype=np.float64) for c in clips]
     shapes = {m.shape for m in mats}
     if len(shapes) != 1:
         raise DataError(f"corpus clips have heterogeneous shapes: {sorted(shapes)}")
@@ -83,7 +82,7 @@ def _corpus_features(clips, frames=None, dim=None):
     return mats
 
 
-def train_fgd_extractor(clips, seed: int, steps: int = 500, hidden: int = 64):
+def train_fgd_extractor(clips, seed: int, steps: int, hidden: int):
     """Fit the autoencoder with mean-L1 reconstruction loss (plain Adam, lr 1e-3).
 
     Returns (extractor, loss_history). Deterministic given the seed.
@@ -200,20 +199,12 @@ def beat_align(audio_beats, gesture_beats, sigma: float = 0.1) -> float:
 # -- threshold recall ---------------------------------------------------
 
 
-def srgr(gen: MotionClip, ref: MotionClip, weights=None, threshold: float = 0.2) -> float:
-    """Frame-weighted fraction of joints whose rotation blocks fall within
-    an L1 threshold of the reference."""
-    if gen.rotations.shape != ref.rotations.shape:
-        raise DataError(f"clip shapes differ: {gen.rotations.shape} vs {ref.rotations.shape}")
-    F, J, _ = gen.rotations.shape
-    if weights is None:
-        weights = np.ones(F)
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (F,):
-        raise DataError(f"weights length {weights.shape} does not match {F} frames")
-    if np.any(weights < 0):
-        raise DataError("frame weights must be non-negative")
-    weights = weights / weights.mean()
-    dist = np.abs(gen.rotations - ref.rotations).sum(axis=2)  # F x J
+def srgr(gen: np.ndarray, ref: np.ndarray, threshold: float) -> float:
+    """Mean over frames of the fraction of joints whose rotation-matrix blocks lie
+    within an L1 `threshold` of the reference's; `gen` and `ref` are F x (3 + 9J)
+    feature rows (`bvh.clip_to_features`)."""
+    if gen.shape != ref.shape:
+        raise DataError(f"clip shapes differ: {gen.shape} vs {ref.shape}")
+    dist = np.abs(gen[:, 3:] - ref[:, 3:]).reshape(gen.shape[0], -1, 9).sum(axis=2)  # F x J
     hit = (dist < threshold).mean(axis=1)  # per-frame PCK
-    return float((weights * hit).mean())
+    return float(hit.mean())

@@ -21,27 +21,28 @@ from .denoiser import TrainExample
 from .errors import DataError, ParseError
 from .fileio import (read_features, read_float_lines, read_key_values, write_features,
                      write_float_lines, write_key_values)
+from .fusion import N_EMOTIONS
 from .metrics import detect_gesture_beats
+
+LATENT_DIM = 8  # width of each clip's free latent, which alone drives its text features
 
 
 @dataclass
 class SyntheticSpec:
+    """Fields: the `synthetic.*` key suffixes, plus `seed`."""
+
     n_clips: int = 16
     frames: int = 300
     joints: int = 8
     n_styles: int = 4
-    n_emotions: int = 8
     d_audio: int = 24
     d_text: int = 8
     fps: float = 30.0
-    latent_dim: int = 8
     seed: int = 0
 
     def __post_init__(self):
         if self.frames < 3:
             raise DataError(f"clips need >= 3 frames, got {self.frames}")
-        if self.n_emotions != 8:
-            raise DataError("the emotion label set is fixed at 8 classes")
 
     @classmethod
     def from_config(cls, cfg: dict) -> "SyntheticSpec":
@@ -77,13 +78,6 @@ def _clip_motion(spec: SyntheticSpec, layout: JointLayout, style_id: int, emotio
     return MotionClip(spec.fps, trans, angles, layout)
 
 
-def _clip_latent(spec: SyntheticSpec, style_id: int, emotion_id: int,
-                 z: np.ndarray) -> np.ndarray:
-    onehot_s = np.eye(spec.n_styles)[style_id]
-    onehot_e = np.eye(spec.n_emotions)[emotion_id]
-    return np.concatenate([onehot_s, onehot_e, z])
-
-
 def gen_synthetic_dataset(spec: SyntheticSpec, out_dir) -> list:
     """Write BVH + feature + label + onset files; returns clip names.
 
@@ -96,10 +90,10 @@ def gen_synthetic_dataset(spec: SyntheticSpec, out_dir) -> list:
     out.mkdir(parents=True, exist_ok=True)
 
     rng = np.random.default_rng(spec.seed)
-    d_lat = spec.n_styles + spec.n_emotions + spec.latent_dim
+    d_lat = spec.n_styles + N_EMOTIONS + LATENT_DIM
     p_base = rng.normal(0.0, 1.0, (d_lat, spec.d_audio))
     p_mod = rng.normal(0.0, 0.3, (d_lat, spec.d_audio))
-    p_text = rng.normal(0.0, 1.0, (spec.latent_dim, spec.d_text))
+    p_text = rng.normal(0.0, 1.0, (LATENT_DIM, spec.d_text))
     skeleton = chain_skeleton(spec.joints)
     layout = skeleton.layout()
 
@@ -107,10 +101,10 @@ def gen_synthetic_dataset(spec: SyntheticSpec, out_dir) -> list:
     t_sec = np.arange(spec.frames) / spec.fps
     for i in range(spec.n_clips):
         style_id = i % spec.n_styles
-        emotion_id = (i // spec.n_styles) % spec.n_emotions
+        emotion_id = (i // spec.n_styles) % N_EMOTIONS
         clip = _clip_motion(spec, layout, style_id, emotion_id, rng)
-        z = rng.normal(0.0, 1.0, spec.latent_dim)
-        latent = _clip_latent(spec, style_id, emotion_id, z)
+        z = rng.normal(0.0, 1.0, LATENT_DIM)
+        latent = np.concatenate([np.eye(spec.n_styles)[style_id], np.eye(N_EMOTIONS)[emotion_id], z])
         carrier = np.sin(2 * np.pi * emotion_frequency(emotion_id) * t_sec)
         audio = latent @ p_base + carrier[:, None] * (latent @ p_mod)
         text = np.tile(z @ p_text, (spec.frames, 1)) * (1.0 + 0.1 * np.cos(2 * np.pi * 0.3 * t_sec))[:, None]
@@ -141,7 +135,7 @@ class Dataset:
     records: list
     skeleton: Skeleton
     layout: JointLayout
-    meta: dict  # dataset.meta's strings, with n_styles and n_emotions as ints
+    meta: dict  # dataset.meta's strings, with n_styles as an int
 
     @property
     def gesture_dim(self) -> int:
@@ -164,6 +158,13 @@ def _int_entries(path, entries: dict, keys) -> dict:
         raise ParseError(f"{path}: needs integer {', '.join(keys)}; got {entries}") from None
 
 
+def check_joints(path, skeleton: Skeleton, ref: Skeleton, ref_name: str):
+    """A DataError naming `path` unless `skeleton` has `ref`'s joint names and parents,
+    in order. Rotation orders and offsets may differ: features hold rotation matrices."""
+    if [(j.name, j.parent) for j in skeleton.joints] != [(j.name, j.parent) for j in ref.joints]:
+        raise DataError(f"{path}: joint names or parents differ from those of {ref_name}")
+
+
 def load_dataset(directory) -> Dataset:
     """Read a corpus produced by `gen_synthetic_dataset` (or matching it)."""
     directory = Path(directory)
@@ -172,16 +173,14 @@ def load_dataset(directory) -> Dataset:
     meta_path = directory / "dataset.meta"
     if meta_path.is_file():
         meta = read_key_values(meta_path)
-        meta |= _int_entries(meta_path, meta, [k for k in ("n_styles", "n_emotions") if k in meta])
+        if "n_styles" in meta:
+            meta |= _int_entries(meta_path, meta, ["n_styles"])
 
-    first_name, skeleton, first = clips[0]
-    joints = [(j.name, j.parent) for j in skeleton.joints]  # one skeleton per corpus
+    first_name, skeleton, first = clips[0]  # one skeleton per corpus
     records = []
     widths = {}  # each modality's feature width, from the first clip
     for name, skel, clip in clips:
-        if [(j.name, j.parent) for j in skel.joints] != joints:
-            raise DataError(f"{directory / name}.bvh: joint names or parents differ from "
-                            f"those of {first_name}.bvh")
+        check_joints(directory / f"{name}.bvh", skel, skeleton, f"{first_name}.bvh")
         feats = {}
         for modality in ("audio", "text"):
             path = directory / f"{name}.{modality}.feat"
@@ -192,7 +191,7 @@ def load_dataset(directory) -> Dataset:
                                 f"expected (frames, width) {want}")
         label_path = directory / f"{name}.labels"
         labels = _int_entries(label_path, read_key_values(label_path), ("style", "emotion"))
-        for key, n in (("style", meta.get("n_styles")), ("emotion", meta.get("n_emotions"))):
+        for key, n in (("style", meta.get("n_styles")), ("emotion", N_EMOTIONS)):
             if n is not None and not 0 <= labels[key] < n:
                 raise DataError(f"{label_path}: {key} id {labels[key]} outside {n} classes")
         onset_path = directory / f"{name}.onsets"

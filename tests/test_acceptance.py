@@ -114,7 +114,7 @@ def test_criterion_3_gradient_suite():
     errs["mambattn_block"] = ad.finite_diff_check(
         lambda x: dn.mambattn_block(dw.blocks[0], x, dcfg), rng.normal(0, 1, (5, 8)))
 
-    spec = fu.ModelSpec(layers=2, d=12, d_audio=5, d_text=4, n_styles=2, n_emotions=8,
+    spec = fu.ModelSpec(layers=2, d=12, d_audio=5, d_text=4, n_styles=2,
                         gesture_dim=6, window=3, mode=fu.SEAD, n_state=4, mamba_conv_width=2)
     fw = fu.init_fusion(spec, rng, init_std=0.25)
     text = rng.normal(0, 1, (6, 4))
@@ -243,7 +243,7 @@ def test_criterion_6_toy_overfit_and_ordering(overfit_runs, toy_cfg, toy_corpus)
     loss_ok = lg_end < 0.3 * lg_start
 
     ext, ref = harness.get_extractor(toy_corpus, toy_cfg)
-    ref_clips = [r.clip for r in ref.records]
+    ref_clips = [r.x0 for r in ref.records]
     ref_feats = ext.features(ref_clips)
     fgd_trained = overfit_runs["rep1"]["fgd"]
     rng = np.random.default_rng(99)
@@ -290,7 +290,8 @@ def test_criterion_8_metric_sanity():
 
     layout = bvh.JointLayout(["a", "b"], ["ZXY", "ZXY"])
     clip = bvh.MotionClip(30.0, np.zeros((5, 3)), rng.normal(0, 0.3, (5, 2, 9)), layout)
-    srgr_ok = mt.srgr(clip, clip) == 1.0
+    rows = bvh.clip_to_features(clip)
+    srgr_ok = mt.srgr(rows, rows, 0.2) == 1.0
     dt = time.perf_counter() - t0
     _report("8 metric-sanity", gauss_ok and div_ok and beat_ok and srgr_ok and dt < 60.0,
             f"(fgd1d {fgd_1d:.3f}, fgd2d {fgd_2d:.3f}, {dt:.1f}s)")

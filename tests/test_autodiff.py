@@ -50,7 +50,7 @@ def _backward_with_every_buffer_up_front(root):
 def test_clip_backward_keeps_leaf_gradient_bits_and_drops_interior_ones(monkeypatch):
     spec = fu.ModelSpec(layers=1, d=8, gesture_dim=5, n_state=4, expand=2, use_conv=True,
                         mamba_conv_width=2, block_conv_width=2, d_audio=4, d_text=3,
-                        n_styles=2, n_emotions=8, window=4, mode=fu.SEAD, mask_prob=0.1)
+                        n_styles=2, window=4, mode=fu.SEAD, mask_prob=0.1)
     model = dn.build_model(spec, seed=0)
     data = np.random.default_rng(1)
     ex = dn.TrainExample(x0=data.normal(0, 1, (6, 5)), audio=data.normal(0, 1, (6, 4)),

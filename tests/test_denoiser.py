@@ -187,7 +187,7 @@ def test_adamw_step_leaves_loaded_state_untouched():
 
 
 def make_tiny_model(mode=fu.SEAD, seed=0, **toggles):
-    spec = small_config(layers=1, d_audio=4, d_text=3, n_styles=2, n_emotions=8,
+    spec = small_config(layers=1, d_audio=4, d_text=3, n_styles=2,
                         window=4, mode=mode, mask_prob=0.1, **toggles)
     return dn.build_model(spec, seed)
 
@@ -224,7 +224,7 @@ def test_training_step_rejects_empty_batch(rng):
     model = make_tiny_model()
     opt = dn.AdamW(model.named(), lr=1e-3)
     with pytest.raises(ShapeError):
-        dn.training_step(model, opt, [], build_schedule(10), np.random.default_rng(0))
+        dn.training_step(model, opt, [], build_schedule(10, 1e-4, 0.2), np.random.default_rng(0))
 
 
 def test_training_step_raises_on_nonfinite(rng):
@@ -232,7 +232,7 @@ def test_training_step_raises_on_nonfinite(rng):
     model.fusion.gesture_w.value[...] = np.inf
     opt = dn.AdamW(model.named(), lr=1e-3)
     with pytest.raises(NumericalError):
-        dn.training_step(model, opt, make_batch(rng), build_schedule(10),
+        dn.training_step(model, opt, make_batch(rng), build_schedule(10, 1e-4, 0.2),
                          np.random.default_rng(0))
 
 

@@ -21,7 +21,7 @@ def test_schedule_single_step():
 
 def test_schedule_rejects_bad_betas():
     with pytest.raises(ConfigError):
-        df.build_schedule(0)
+        df.build_schedule(0, 1e-4, 0.2)
     with pytest.raises(ConfigError):
         df.build_schedule(10, 0.5, 0.1)
     with pytest.raises(ConfigError):

@@ -2,11 +2,12 @@
 import hashlib
 import json
 import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from gesturegen import cli, harness, metrics as mt, synthetic
+from gesturegen import cli, config, fusion as fu, harness, metrics as mt, synthetic
 from gesturegen.errors import ConfigError, DataError, ParseError
 from gesturegen.fileio import read_checkpoint, read_features, write_checkpoint, write_features
 
@@ -62,6 +63,43 @@ def test_load_model_rejects_header_without_widths(tmp_path, mini_run):
     write_checkpoint(tmp_path / "m.ckpt", arrays, header, step)
     with pytest.raises(DataError, match="corpus widths"):
         harness.load_model(tmp_path / "m.ckpt")
+
+
+def test_spec_fields_are_the_config_keys():
+    """Every spec field is set by exactly one config key or corpus width, in key order,
+    except `ModelSpec`'s two conv widths, which have no key."""
+    def suffixes(section):
+        return [k.split(".")[1] for k in config.DEFAULTS if k.startswith(section + ".")]
+
+    assert [f.name for f in fields(synthetic.SyntheticSpec)] == suffixes("synthetic") + ["seed"]
+    no_key = ["mamba_conv_width", "block_conv_width"]
+    assert ([f.name for f in fields(fu.ModelSpec)]
+            == suffixes("model") + [k.split(".")[1] for k in harness.WIDTH_KEYS] + no_key)
+
+
+def test_files_that_still_name_the_emotion_count_load_and_sample_the_same_bytes(
+        tmp_path, mini_run, mini_corpus):
+    """A `dataset.meta` with `n_emotions=8` and `latent_dim=8`, and a checkpoint header
+    with `data.n_emotions=8`, as written while those were settable, still work."""
+    old_corpus = _corpus_copy(tmp_path, mini_corpus, "old_corpus")
+    meta = old_corpus / "dataset.meta"
+    text = meta.read_text()
+    assert "n_emotions" not in text and "latent_dim" not in text
+    meta.write_text(text.replace("d_audio=", "n_emotions=8\nd_audio=")
+                    .replace("seed=", "latent_dim=8\nseed="))
+    arrays, header, step = read_checkpoint(mini_run["checkpoint"])
+    assert "data.n_emotions" not in header
+    old_ckpt = tmp_path / "old.ckpt"
+    write_checkpoint(old_ckpt, arrays, header | {"data.n_emotions": 8}, step)
+
+    old, new = synthetic.load_dataset(old_corpus), synthetic.load_dataset(mini_corpus)
+    assert [r.emotion_id for r in old.records] == [r.emotion_id for r in new.records]
+    written = [harness.run_sample(ckpt, corpus, n=1, seed=4, out_dir=tmp_path / name,
+                                  max_conditions=2)
+               for ckpt, corpus, name in [(old_ckpt, old_corpus, "old"),
+                                          (mini_run["checkpoint"], mini_corpus, "new")]]
+    assert [p.name for p in written[0]] == [p.name for p in written[1]]
+    assert [p.read_bytes() for p in written[0]] == [p.read_bytes() for p in written[1]]
 
 
 def test_load_model_bit_exact_reload(mini_run):
@@ -515,7 +553,7 @@ def _corpus_copy(tmp_path, mini_corpus, name):
     ("train", "clip_0001.labels", lambda b: b.replace(b"emotion=0\n", b"")),
     ("train", "clip_0001.labels", lambda b: b.replace(b"style=1", b"style=1.5")),
     ("train", "dataset.meta", lambda b: b.replace(b"n_styles=4", b"n_styles=four")),
-    ("train", "dataset.meta", lambda b: b.replace(b"n_emotions=8", b"n_emotions=8.0")),
+    ("train", "dataset.meta", lambda b: b.replace(b"n_styles=4", b"n_styles=4.0")),
     ("train", "clip_0001.audio.feat", lambda b: b.replace(b"\naudio\n", b"\n\xff\xfe\n", 1)),
     # two negative dimensions whose product fits the payload of 16 bytes
     ("train", "clip_0001.audio.feat", lambda b: b"MGFEAT1\n-2 -2\naudio\n" + bytes(16)),
@@ -636,6 +674,21 @@ def test_cli_eval_names_a_reference_clip_without_onsets(tmp_path, mini_corpus, c
     assert cli.main(["eval", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error") and "clip_0000" in err
+
+
+def test_cli_eval_rejects_a_generated_clip_with_another_skeleton(tmp_path, mini_corpus, capsys):
+    """SRGR and the extractor pair joints by index, so a generated clip must have the
+    reference's joint names and parents."""
+    ref = _corpus_copy(tmp_path, mini_corpus, "ref")
+    gen = _corpus_copy(tmp_path, mini_corpus, "gen")
+    path = gen / "clip_0001.bvh"
+    path.write_text(path.read_text().replace("JOINT joint2", "JOINT elbow"))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"data.dir = {ref}\ndata.gen_dir = {gen}\neval.extractor_steps = 5\n")
+    assert cli.main(["eval", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith(
+        f"data error: {path}: joint names or parents differ from those of the reference corpus")
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 def test_cli_sample_rejects_corrupt_checkpoint(tmp_path, mini_run, mini_corpus, capsys):

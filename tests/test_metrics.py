@@ -14,6 +14,11 @@ def _clip(rotations, fps=30.0):
     return bvh.MotionClip(fps, np.zeros((rotations.shape[0], 3)), rotations, layout)
 
 
+def _feats(rotations):
+    """The F x (3 + 9J) feature rows of a clip with zero translation."""
+    return bvh.clip_to_features(_clip(rotations))
+
+
 # -- Fréchet ------------------------------------------------------------
 
 
@@ -126,40 +131,29 @@ def test_beat_align_is_one_sided():
 
 
 def test_srgr_identity_is_one(rng):
-    clip = _clip(rng.uniform(-1, 1, (6, 3, 9)) * 0.0 + rng.normal(0, 0.1, (6, 3, 9)))
-    assert mt.srgr(clip, clip) == pytest.approx(1.0)
+    feats = _feats(rng.uniform(-1, 1, (6, 3, 9)) * 0.0 + rng.normal(0, 0.1, (6, 3, 9)))
+    assert mt.srgr(feats, feats, 0.2) == pytest.approx(1.0)
 
 
 def test_srgr_counts_threshold_hits():
-    ref = _clip(np.zeros((2, 2, 9)))
+    ref = _feats(np.zeros((2, 2, 9)))
     gen_rot = np.zeros((2, 2, 9))
     gen_rot[0, 0, 0] = 0.5   # joint (0,0) misses: L1 distance 0.5 > 0.2
-    gen = _clip(gen_rot)
+    gen = _feats(gen_rot)
     # frame 0: 1/2 joints hit; frame 1: 2/2 -> mean 0.75
-    assert mt.srgr(gen, ref, threshold=0.2) == pytest.approx(0.75)
+    assert mt.srgr(gen, ref, 0.2) == pytest.approx(0.75)
 
 
-def test_srgr_frame_weights():
-    ref = _clip(np.zeros((2, 1, 9)))
-    gen_rot = np.zeros((2, 1, 9))
-    gen_rot[0, 0, 0] = 1.0  # frame 0 misses entirely
-    gen = _clip(gen_rot)
-    # weight frame 1 heavily: score approaches 1
-    w = np.array([0.0, 2.0])
-    assert mt.srgr(gen, ref, weights=w) == pytest.approx(1.0)
+def test_srgr_rejects_clips_of_another_shape():
     with pytest.raises(DataError):
-        mt.srgr(gen, ref, weights=np.array([1.0]))
-    with pytest.raises(DataError):
-        mt.srgr(gen, ref, weights=np.array([-1.0, 1.0]))
-    with pytest.raises(DataError):
-        mt.srgr(gen, _clip(np.zeros((3, 1, 9))))
+        mt.srgr(_feats(np.zeros((2, 1, 9))), _feats(np.zeros((3, 1, 9))), 0.2)
 
 
 # -- feature extractor --------------------------------------------------
 
 
 def test_extractor_training_reduces_loss(rng):
-    clips = [_clip(rng.normal(0, 10, (8, 2, 3))) for _ in range(4)]
+    clips = [_feats(rng.normal(0, 10, (8, 2, 3))) for _ in range(4)]
     ext, history = mt.train_fgd_extractor(clips, seed=0, steps=200, hidden=16)
     assert np.mean(history[-10:]) < 0.85 * np.mean(history[:10])
     feats = ext.features(clips)
@@ -167,9 +161,9 @@ def test_extractor_training_reduces_loss(rng):
 
 
 def test_extractor_features_without_graph_equal_grad_mode_encode(rng, monkeypatch):
-    clips = [_clip(rng.normal(0, 1, (6, 2, 3))) for _ in range(3)]
+    clips = [_feats(rng.normal(0, 1, (6, 2, 3))) for _ in range(3)]
     ext, _ = mt.train_fgd_extractor(clips, seed=1, steps=3, hidden=8)
-    encoded = [ext.encode(bvh.clip_to_features(c)) for c in clips]
+    encoded = [ext.encode(c) for c in clips]
     assert all(e._parents for e in encoded)
     modes, encode = [], mt.FeatureExtractor.encode
     monkeypatch.setattr(mt.FeatureExtractor, "encode",
@@ -180,7 +174,7 @@ def test_extractor_features_without_graph_equal_grad_mode_encode(rng, monkeypatc
 
 
 def test_extractor_deterministic(rng):
-    clips = [_clip(rng.normal(0, 1, (6, 1, 3))) for _ in range(3)]
+    clips = [_feats(rng.normal(0, 1, (6, 1, 3))) for _ in range(3)]
     e1, h1 = mt.train_fgd_extractor(clips, seed=5, steps=20, hidden=8)
     e2, h2 = mt.train_fgd_extractor(clips, seed=5, steps=20, hidden=8)
     assert h1 == h2
@@ -188,6 +182,6 @@ def test_extractor_deterministic(rng):
 
 
 def test_extractor_rejects_mismatched_corpus(rng):
-    clips = [_clip(rng.normal(0, 1, (6, 1, 3))), _clip(rng.normal(0, 1, (7, 1, 3)))]
+    clips = [_feats(rng.normal(0, 1, (6, 1, 3))), _feats(rng.normal(0, 1, (7, 1, 3)))]
     with pytest.raises(DataError):
-        mt.train_fgd_extractor(clips, seed=0, steps=1)
+        mt.train_fgd_extractor(clips, seed=0, steps=1, hidden=8)

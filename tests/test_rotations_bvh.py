@@ -369,10 +369,9 @@ def test_rotmat_roundtrip_mixed_orders(rng):
         assert np.array_equal(rm.rotations[:, j].reshape(7, 3, 3),
                               rot.euler_to_rotmat(angles[:, j], order))
     feats = bvh.clip_to_features(rm)
-    for orthonormalize in (False, True):
-        back = bvh.clip_to_euler(bvh.features_to_clip(feats, rm.fps, layout, orthonormalize))
-        assert back.layout.orders == orders
-        assert np.abs(back.rotations - angles).max() < 1e-9
+    back = bvh.clip_to_euler(bvh.features_to_clip(feats, rm.fps, layout))
+    assert back.layout.orders == orders
+    assert np.abs(back.rotations - angles).max() < 1e-9
 
 
 def test_clip_conversions_equal_per_joint_kernel_calls(rng):
@@ -391,13 +390,14 @@ def test_clip_conversions_equal_per_joint_kernel_calls(rng):
     assert back.layout.orders == orders
 
 
-def test_clip_to_euler_orthonormalize_flag(rng):
+def test_features_to_clip_snaps_blocks_that_clip_to_euler_rejects(rng):
     _, clip = _random_clip(rng, 2, 3)
     noisy = bvh.clip_to_features(clip)
     noisy[:, 3:] += rng.normal(0, 1e-4, noisy[:, 3:].shape)
+    raw = bvh.MotionClip(clip.fps, noisy[:, :3], noisy[:, 3:].reshape(3, 2, 9), clip.layout)
     with pytest.raises(GeometryError):
-        bvh.clip_to_euler(bvh.features_to_clip(noisy, clip.fps, clip.layout, orthonormalize=False))
-    fixed = bvh.clip_to_euler(bvh.features_to_clip(noisy, clip.fps, clip.layout, orthonormalize=True))
+        bvh.clip_to_euler(raw)
+    fixed = bvh.clip_to_euler(bvh.features_to_clip(noisy, clip.fps, clip.layout))
     assert np.abs(fixed.rotations - clip.rotations).max() < 0.1  # degrees
 
 

@@ -11,7 +11,7 @@ from gesturegen.errors import DataError
 
 
 def small_spec(**kw):
-    base = dict(n_clips=4, frames=40, joints=3, n_styles=2, n_emotions=8,
+    base = dict(n_clips=4, frames=40, joints=3, n_styles=2,
                 d_audio=10, d_text=4, fps=30.0, seed=0)
     base.update(kw)
     return synthetic.SyntheticSpec(**base)
@@ -20,8 +20,6 @@ def small_spec(**kw):
 def test_spec_validation():
     with pytest.raises(DataError):
         small_spec(frames=2)
-    with pytest.raises(DataError):
-        small_spec(n_emotions=4)
 
 
 def test_chain_skeleton_layout(tmp_path):
