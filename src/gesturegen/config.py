@@ -10,6 +10,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .fileio import read_key_values
+from .fusion import FUSION_MODES
 
 DEFAULTS = {
     "seed": 0,
@@ -56,7 +57,8 @@ MINIMUMS = {"train.steps": 1, "train.batch": 1, "sample.n": 1, "sample.max_condi
             "eval.n_diversity": 2, "eval.extractor_steps": 1, "eval.extractor_hidden": 1,
             "synthetic.n_clips": 1, "synthetic.frames": 3, "synthetic.joints": 1,
             "synthetic.n_styles": 1, "synthetic.d_audio": 1, "synthetic.d_text": 1,
-            "model.d": 1, "model.n_state": 1, "model.expand": 1}
+            "model.d": 1, "model.n_state": 1, "model.expand": 1, "model.layers": 1,
+            "model.window": 1, "diffusion.steps": 1, "seed": 0}
 
 # The paper-scale preset documents the reference hyperparameters; it is
 # far too heavy for the bundled synthetic corpus and exists for
@@ -92,7 +94,7 @@ def _coerce(key: str, raw):
 
 
 def load_config(path=None, preset: str = "toy", overrides: dict | None = None) -> dict:
-    """Defaults -> preset -> config file -> explicit overrides, then the range checks."""
+    """Defaults -> preset -> config file -> explicit overrides, then every rule on the values."""
     if preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
     cfg = dict(DEFAULTS)
@@ -115,7 +117,20 @@ def load_config(path=None, preset: str = "toy", overrides: dict | None = None) -
     for key, least in MINIMUMS.items():
         if cfg[key] < least:
             raise ConfigError(f"{key} must be at least {least}, got {cfg[key]}")
-    for key in ("eval.sigma", "eval.threshold", "train.huber_delta", "synthetic.fps"):
+    for key in ("eval.sigma", "eval.threshold", "train.huber_delta", "synthetic.fps",
+                "diffusion.beta_start"):
         if cfg[key] <= 0:
             raise ConfigError(f"{key} must be positive, got {cfg[key]}")
+    mode, mask, start, end = (cfg[k] for k in ("model.mode", "model.mask_prob",
+                                                "diffusion.beta_start", "diffusion.beta_end"))
+    for ok, message in [
+            (mode in FUSION_MODES, f"model.mode must be one of {FUSION_MODES}, got {mode!r}"),
+            (0 <= mask <= 1, f"model.mask_prob must be in [0, 1], got {mask}"),
+            (start <= end, f"diffusion.beta_start must be at most diffusion.beta_end ({end}), "
+                           f"got {start}"),
+            (end < 1, f"diffusion.beta_end must be below 1, got {end}"),
+            (cfg["model.use_attention"] or cfg["model.use_mamba"] or cfg["model.use_conv"],
+             "model.use_attention must be true when model.use_mamba and model.use_conv are false")]:
+        if not ok:
+            raise ConfigError(message)
     return cfg

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 
 
 @dataclass
@@ -23,11 +23,8 @@ class DiffusionSchedule:
 
 
 def build_schedule(steps: int, beta_start: float, beta_end: float) -> DiffusionSchedule:
-    """Linear beta schedule with posterior coefficients for x0-prediction."""
-    if steps < 1:
-        raise ConfigError(f"diffusion steps must be >= 1, got {steps}")
-    if not (0.0 < beta_start <= beta_end < 1.0):
-        raise ConfigError(f"need 0 < beta_start <= beta_end < 1, got [{beta_start}, {beta_end}]")
+    """Linear beta schedule with posterior coefficients for x0-prediction; needs
+    steps >= 1 and 0 < beta_start <= beta_end < 1, as `config.load_config` checks."""
     beta = np.linspace(beta_start, beta_end, steps)
     alpha = 1.0 - beta
     alpha_bar = np.cumprod(alpha)

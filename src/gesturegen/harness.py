@@ -93,10 +93,15 @@ def load_model(checkpoint_path):
     """Rebuild a model from an MGCKPT2 file. The header is the whole spec: its
     config keys over the defaults, plus the corpus widths under `WIDTH_KEYS`."""
     arrays, header, step = read_checkpoint(checkpoint_path)
-    cfg = load_config(overrides={k: v for k, v in header.items() if k in DEFAULTS})
-    if not set(WIDTH_KEYS) <= set(header):
-        raise DataError(f"{checkpoint_path}: header lacks the corpus widths {WIDTH_KEYS}")
-    model = dn.build_model(_model_spec(cfg, [header[k] for k in WIDTH_KEYS]), cfg["seed"])
+    try:
+        cfg = load_config(overrides={k: v for k, v in header.items() if k in DEFAULTS})
+    except ConfigError as e:
+        raise DataError(f"{checkpoint_path}: {e}") from None
+    widths = [header.get(k, "") for k in WIDTH_KEYS]
+    if not all(w.isdecimal() for w in widths):
+        raise DataError(f"{checkpoint_path}: header needs the corpus widths {WIDTH_KEYS} as "
+                        f"non-negative integers, got {widths}")
+    model = dn.build_model(_model_spec(cfg, widths), cfg["seed"])
     params = model.named()
     missing = set(params) - set(arrays)
     if missing:
@@ -113,8 +118,6 @@ def load_model(checkpoint_path):
 def run_sample(checkpoint_path, conditions_dir, n: int, seed: int, out_dir,
                max_conditions: int | None = None) -> list:
     """Draw n gesture samples per condition clip and emit them as BVH."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     model, cfg, _, _ = load_model(checkpoint_path)
     dataset = load_dataset(conditions_dir)
     spec = model.fusion.spec
@@ -123,9 +126,15 @@ def run_sample(checkpoint_path, conditions_dir, n: int, seed: int, out_dir,
     if widths != expected:
         raise ConfigError(f"conditions (gesture, audio, text) widths {widths} do not match "
                           f"checkpoint {expected}")
+    records = dataset.records[:max_conditions] if max_conditions else dataset.records
+    for rec in records:
+        if rec.style_id >= spec.n_styles:
+            raise ConfigError(f"{Path(conditions_dir) / rec.name}.labels: style id {rec.style_id} "
+                              f"outside the checkpoint's {spec.n_styles} styles")
     schedule = build_schedule(cfg["diffusion.steps"], cfg["diffusion.beta_start"],
                               cfg["diffusion.beta_end"])
-    records = dataset.records[:max_conditions] if max_conditions else dataset.records
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     written = []
     for ci, rec in enumerate(records):
         def denoise(x_t, t, rec=rec):
@@ -269,10 +278,9 @@ def run_ablation(cfg: dict, dataset_dir, out_dir) -> list:
     rows = []
     for name, patch in ablation_variants():
         row = {"name": name}
-        variant_cfg = dict(cfg)
-        variant_cfg.update(patch)
         vdir = out / name
         try:
+            variant_cfg = load_config(overrides=cfg | patch)
             run_train(variant_cfg, dataset_dir, vdir)
             run_sample(vdir / "model.ckpt", dataset_dir, n=cfg["sample.n"],
                        seed=cfg["seed"], out_dir=vdir / "samples",

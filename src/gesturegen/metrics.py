@@ -182,9 +182,7 @@ def detect_gesture_beats(clip: MotionClip) -> np.ndarray:
 
 
 def beat_align(audio_beats, gesture_beats, sigma: float = 0.1) -> float:
-    """One-sided exponential Chamfer score from gesture beats to audio beats."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    """One-sided exponential Chamfer score from gesture beats to audio beats; sigma > 0."""
     audio_beats = np.asarray(audio_beats, dtype=np.float64)
     gesture_beats = np.asarray(gesture_beats, dtype=np.float64)
     if audio_beats.size == 0:

@@ -10,6 +10,7 @@ beat-alignment metric.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -32,17 +33,13 @@ class SyntheticSpec:
     """Fields: the `synthetic.*` key suffixes, plus `seed`."""
 
     n_clips: int = 16
-    frames: int = 300
+    frames: int = 60
     joints: int = 8
     n_styles: int = 4
     d_audio: int = 24
     d_text: int = 8
     fps: float = 30.0
     seed: int = 0
-
-    def __post_init__(self):
-        if self.frames < 3:
-            raise DataError(f"clips need >= 3 frames, got {self.frames}")
 
     @classmethod
     def from_config(cls, cfg: dict) -> "SyntheticSpec":
@@ -51,9 +48,7 @@ class SyntheticSpec:
 
 
 def chain_skeleton(joints: int) -> Skeleton:
-    """Simple kinematic chain; root carries translation + rotation channels."""
-    if joints < 1:
-        raise DataError("need at least one joint")
+    """Simple kinematic chain of joints >= 1; root carries translation + rotation channels."""
     rot = ["Zrotation", "Xrotation", "Yrotation"]
     out = [BvhJoint("root", None, np.zeros(3),
                     ["Xposition", "Yposition", "Zposition"] + rot)]
@@ -191,9 +186,9 @@ def load_dataset(directory) -> Dataset:
                                 f"expected (frames, width) {want}")
         label_path = directory / f"{name}.labels"
         labels = _int_entries(label_path, read_key_values(label_path), ("style", "emotion"))
-        for key, n in (("style", meta.get("n_styles")), ("emotion", N_EMOTIONS)):
-            if n is not None and not 0 <= labels[key] < n:
-                raise DataError(f"{label_path}: {key} id {labels[key]} outside {n} classes")
+        for key, n in (("style", meta.get("n_styles", math.inf)), ("emotion", N_EMOTIONS)):
+            if not 0 <= labels[key] < n:
+                raise DataError(f"{label_path}: {key} id {labels[key]} outside [0, {n})")
         onset_path = directory / f"{name}.onsets"
         onsets = np.array([])
         if onset_path.is_file():

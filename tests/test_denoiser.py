@@ -6,7 +6,7 @@ import pytest
 
 from gesturegen import autodiff as ad, denoiser as dn, fusion as fu
 from gesturegen.diffusion import build_schedule, q_sample
-from gesturegen.errors import ConfigError, NumericalError, ShapeError
+from gesturegen.errors import NumericalError, ShapeError
 
 
 def small_config(**kw):
@@ -14,13 +14,6 @@ def small_config(**kw):
                 mamba_conv_width=2, block_conv_width=2)
     base.update(kw)
     return fu.ModelSpec(**base)
-
-
-def test_config_validation():
-    with pytest.raises(ConfigError):
-        small_config(layers=0)
-    with pytest.raises(ConfigError):
-        small_config(use_attention=False, use_mamba=False, use_conv=False)
 
 
 def test_residual_identity_with_zero_inner_weights(rng):

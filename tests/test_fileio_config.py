@@ -1,4 +1,7 @@
 """File formats (features, checkpoints, plain lists) and configuration."""
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -176,3 +179,18 @@ def test_config_type_coercion():
         config.load_config(None, overrides={"train.steps": "many"})
     with pytest.raises(ConfigError):
         config.load_config(None, overrides={"model.use_mamba": "perhaps"})
+
+
+def test_config_errors_are_raised_only_where_an_input_enters():
+    """Every rule on a config value lives in `load_config`. The only other
+    `raise ConfigError`s are `cli._require` and the harness checks that need a corpus or a
+    checkpoint, so no model code checks a value again."""
+    raising = set()
+    for path in Path(config.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if ast.unparse(exc).split(".")[-1] == "ConfigError":
+                raising.add(path.name)
+    assert raising == {"config.py", "cli.py", "harness.py"}

@@ -57,12 +57,29 @@ def test_checkpoint_holds_the_training_state_bit_for_bit(tmp_path, mini_cfg, min
     assert all(v.tobytes() == saved[k].tobytes() for k, v in opt_state.items())
 
 
-def test_load_model_rejects_header_without_widths(tmp_path, mini_run):
+def test_load_model_rejects_header_without_widths(tmp_path, mini_run, mini_corpus, capsys):
+    """A header without non-negative integer corpus widths, or with a key that breaks a
+    config rule, is a DataError that names the checkpoint: exit 3, not a traceback."""
     arrays, header, step = read_checkpoint(mini_run["checkpoint"])
-    del header["data.d_audio"]
-    write_checkpoint(tmp_path / "m.ckpt", arrays, header, step)
-    with pytest.raises(DataError, match="corpus widths"):
-        harness.load_model(tmp_path / "m.ckpt")
+    ckpt = tmp_path / "m.ckpt"
+    for key, value, message in [("data.d_audio", None, "header needs the corpus widths"),
+                                ("data.d_audio", "x", "header needs the corpus widths"),
+                                ("data.d_audio", "-3", "header needs the corpus widths"),
+                                ("model.mode", "bogus", "model.mode must be one of")]:
+        edited = {k: v for k, v in header.items() if k != key}
+        if value is not None:
+            edited[key] = value
+        write_checkpoint(ckpt, arrays, edited, step)
+        with pytest.raises(DataError) as e:
+            harness.load_model(ckpt)
+        assert str(e.value).startswith(f"{ckpt}: {message}"), (key, value)
+
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"data.dir = {mini_corpus}\ndata.checkpoint = {ckpt}\n")
+    out = tmp_path / "gen"
+    assert cli.main(["sample", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"data error: {ckpt}: model.mode must be one of")
+    assert not out.exists()
 
 
 def test_spec_fields_are_the_config_keys():
@@ -75,6 +92,17 @@ def test_spec_fields_are_the_config_keys():
     no_key = ["mamba_conv_width", "block_conv_width"]
     assert ([f.name for f in fields(fu.ModelSpec)]
             == suffixes("model") + [k.split(".")[1] for k in harness.WIDTH_KEYS] + no_key)
+
+    # each default is the config default, and the widths are those of the default corpus
+    synth = {f.name: f.default for f in fields(synthetic.SyntheticSpec)}
+    model = {f.name: f.default for f in fields(fu.ModelSpec)}
+    defaults = config.DEFAULTS
+    assert synth == {s: defaults[f"synthetic.{s}"] for s in suffixes("synthetic")} | {
+        "seed": defaults["seed"]}
+    assert all(model[s] == defaults[f"model.{s}"] for s in suffixes("model"))
+    assert ([model[k.split(".")[1]] for k in harness.WIDTH_KEYS]
+            == [3 + 9 * defaults["synthetic.joints"], defaults["synthetic.d_audio"],
+                defaults["synthetic.d_text"], defaults["synthetic.n_styles"]])
 
 
 def test_files_that_still_name_the_emotion_count_load_and_sample_the_same_bytes(
@@ -374,6 +402,23 @@ def test_ablation_records_package_errors_and_raises_bugs(tmp_path, mini_cfg, mon
         harness.run_ablation(mini_cfg, tmp_path / "data", tmp_path / "b")
 
 
+def test_ablation_sends_each_variant_through_the_config_rules(tmp_path, mini_cfg, monkeypatch):
+    """With mamba and conv off, `no-attn` turns off the last block kind: its row fails
+    with the rule's ConfigError, and every other variant trains on `cfg | patch`."""
+    trained = []
+    monkeypatch.setattr(harness, "run_train", lambda cfg, data, out: trained.append(cfg))
+    monkeypatch.setattr(harness, "run_sample", lambda *args, **kwargs: [])
+    monkeypatch.setattr(harness, "run_eval",
+                        lambda *args, **kwargs: dict.fromkeys(harness.METRIC_COLUMNS, 0.0))
+    cfg = mini_cfg | {"model.use_mamba": False, "model.use_conv": False}
+    rows = harness.run_ablation(cfg, tmp_path / "data", tmp_path / "a")
+    assert {r["name"]: r["error"] for r in rows if "error" in r} == {
+        "no-attn": "ConfigError: model.use_attention must be true when model.use_mamba "
+                   "and model.use_conv are false"}
+    assert trained == [cfg | patch for name, patch in harness.ablation_variants()
+                       if name != "no-attn"]
+
+
 def test_ablation_rejects_a_config_whose_every_eval_must_fail(tmp_path, mini_cfg, mini_corpus,
                                                              monkeypatch, capsys):
     """An eval needs 2 generated clips; 1 sample of 1 condition can never score, so
@@ -515,7 +560,22 @@ def test_cli_exit_codes(tmp_path, mini_corpus, capsys):
                                 ("gen-synthetic", "", "synthetic.fps = 0"),
                                 ("train", train_cfg, "model.d = 0"),
                                 ("train", train_cfg, "model.n_state = 0"),
-                                ("train", train_cfg, "model.expand = 0")]:
+                                ("train", train_cfg, "model.expand = 0"),
+                                ("train", train_cfg, "model.mode = bogus"),
+                                ("train", train_cfg, "model.mask_prob = 1.5"),
+                                ("train", train_cfg, "model.window = 0"),
+                                ("train", train_cfg, "model.layers = 0"),
+                                ("train", train_cfg, "model.use_attention = false\n"
+                                 "model.use_mamba = false\nmodel.use_conv = false"),
+                                ("train", train_cfg, "diffusion.steps = 0"),
+                                ("train", train_cfg, "diffusion.beta_start = 0"),
+                                ("train", train_cfg, "diffusion.beta_start = 0.3\n"
+                                 "diffusion.beta_end = 0.2"),
+                                ("train", train_cfg, "diffusion.beta_end = 1"),
+                                ("gen-synthetic", "", "seed = -1"),
+                                ("train", train_cfg, "seed = -1"),
+                                ("sample", ckpt_cfg, "seed = -1"),
+                                ("eval", gen_cfg, "seed = -1")]:
         cfg.write_text(base + line + "\n")
         out = tmp_path / "never"
         assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2, line
@@ -741,6 +801,39 @@ def test_cli_sample_rejects_condition_width_mismatch(tmp_path, mini_run, mini_cf
     cfg.write_text(f"data.dir = {corpus}\ndata.checkpoint = {mini_run['checkpoint']}\n")
     assert cli.main(["sample", "--config", str(cfg), "--out", str(tmp_path / "gen")]) == 2
     assert "(39, 12, 8)" in capsys.readouterr().err
+
+
+def test_cli_sample_rejects_conditions_with_more_styles_than_the_checkpoint(
+        tmp_path, mini_run, mini_cfg, capsys):
+    """The checkpoint has 4 styles; clip_0004 of a 6-style corpus has style 4. The
+    check runs before any sample is drawn, so no BVH is written."""
+    corpus = tmp_path / "styles"
+    wide = dict(mini_cfg, **{"synthetic.n_styles": 6})
+    synthetic.gen_synthetic_dataset(synthetic.SyntheticSpec.from_config(wide), corpus)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"data.dir = {corpus}\ndata.checkpoint = {mini_run['checkpoint']}\n"
+                   "sample.max_conditions = 0\n")
+    out = tmp_path / "gen"
+    assert cli.main(["sample", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: {corpus / 'clip_0004.labels'}: style id 4 outside the checkpoint's 4")
+    assert not out.exists()
+
+
+def test_cli_train_names_a_negative_style_id_without_dataset_meta(tmp_path, mini_corpus,
+                                                                 capsys):
+    """With no `dataset.meta` the style count comes from the labels, but an id is still
+    at least 0; numpy would wrap a negative index without an error."""
+    corpus = _corpus_copy(tmp_path, mini_corpus, "no_meta")
+    (corpus / "dataset.meta").unlink()
+    path = corpus / "clip_0001.labels"
+    path.write_text(path.read_text().replace("style=1", "style=-1"))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"data.dir = {corpus}\ntrain.steps = 1\n")
+    out = tmp_path / "o"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"data error: {path}: style id -1")
+    assert not (out / "loss.csv").exists()
 
 
 def test_cli_exit_code_numerical(tmp_path, mini_corpus, capsys):

@@ -17,11 +17,6 @@ def small_spec(**kw):
     return synthetic.SyntheticSpec(**base)
 
 
-def test_spec_validation():
-    with pytest.raises(DataError):
-        small_spec(frames=2)
-
-
 def test_chain_skeleton_layout(tmp_path):
     sk = synthetic.chain_skeleton(3)
     assert sk.layout() == JointLayout(["root", "joint1", "joint2"], ["ZXY"] * 3)
