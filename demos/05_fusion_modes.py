@@ -54,6 +54,6 @@ drops = 0
 trials = 2000
 mask_rng = np.random.default_rng(2)
 for _ in range(trials):
-    f_s, f_e = fu.mask_conditions(bundle.f_s, bundle.f_e, p=0.1, rng=mask_rng)
+    f_s, f_e = fu.mask_conditions(bundle.f_s, bundle.f_e, p=0.1, u=mask_rng.random(2))
     drops += int(not f_s.value.any())
 print(f"whole-clip label dropout at p=0.1: observed rate {drops / trials:.3f}")

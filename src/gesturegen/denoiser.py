@@ -5,7 +5,11 @@ loss + L1 style/emotion alignment, AdamW updates).
 """
 from __future__ import annotations
 
+import ctypes
+import mmap
+import multiprocessing
 import operator
+import signal
 from dataclasses import dataclass
 from functools import reduce
 from typing import Optional
@@ -218,19 +222,30 @@ class TrainExample:
     emotion_id: int
 
 
+@dataclass
+class ClipDraws:
+    """One clip's random draws, in the order a training step takes them from its RNG."""
+
+    t: int              # diffusion step
+    eps: np.ndarray     # noise, shaped like the clip's x0
+    mask: np.ndarray    # the two uniforms of `fu.mask_conditions`
+
+
+def _draw_clip(rng: np.random.Generator, ex: TrainExample, steps: int) -> ClipDraws:
+    return ClipDraws(int(rng.integers(steps)), rng.standard_normal(ex.x0.shape), rng.random(2))
+
+
 def _clip_backward(model: GestureModel, ex: TrainExample, schedule: DiffusionSchedule,
-                   rng: np.random.Generator, huber_delta: float, n: int, index: int):
+                   draws: ClipDraws, huber_delta: float, n: int, index: int):
     """Forward one clip and backpropagate its loss l_g + l_s + l_e, over n, into the
     weights' `.grad`; a non-finite loss raises first. Returns (l_g, l_s, l_e) as
     floats, so the clip's graph is freed on return."""
-    t = int(rng.integers(schedule.steps))
-    eps = rng.standard_normal(ex.x0.shape)
-    x_t = q_sample(ex.x0, t, eps, schedule)
+    x_t = q_sample(ex.x0, draws.t, draws.eps, schedule)
     bundle = fu.encode_conditions(model.fusion, ex.audio, ex.text,
-                                  ex.style_id, ex.emotion_id, x_t, t)
+                                  ex.style_id, ex.emotion_id, x_t, draws.t)
     target_s, target_e = bundle.f_s, bundle.f_e
     bundle.f_s, bundle.f_e = fu.mask_conditions(bundle.f_s, bundle.f_e,
-                                                model.fusion.spec.mask_prob, rng)
+                                                model.fusion.spec.mask_prob, draws.mask)
     out = fu.fusion_forward(model.fusion, bundle)
     x0_hat = denoiser_forward(model.denoiser, out.f_fuse)
     l_g = ad.huber_loss(x0_hat - ad.tensor(ex.x0), huber_delta)
@@ -245,36 +260,198 @@ def _clip_backward(model: GestureModel, ex: TrainExample, schedule: DiffusionSch
     return float(l_g.value), float(l_s.value), float(l_e.value)
 
 
+def _shared_arrays(params: dict) -> dict:
+    """Zeroed float64 arrays shaped like the values of `params`, by name, in one anonymous
+    shared mapping: a process forked later writes and reads the same memory. Each array
+    starts on a 64-byte boundary."""
+    offsets, end = {}, 0
+    for name, p in params.items():
+        offsets[name] = end
+        end += -(-p.value.nbytes // 64) * 64
+    buf = mmap.mmap(-1, max(end, 1))
+    return {name: np.frombuffer(buf, np.float64, p.value.size, offsets[name]).reshape(p.value.shape)
+            for name, p in params.items()}
+
+
+def _openblas_threads() -> list:
+    """(get, set) of the thread count of each OpenBLAS mapped into this process, as
+    numpy's and scipy's wheels name them; none off Linux or under another BLAS."""
+    try:
+        with open("/proc/self/maps") as f:
+            libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    except OSError:
+        return []
+    found = []
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:  # a path that no longer loads, such as "(deleted)"
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get, put = (getattr(handle, name.format(verb), None) for verb in ("get", "set"))
+            if get and put:
+                get.restype = ctypes.c_int
+                found.append((get, put))
+                break
+    return found
+
+
+def _work(model: GestureModel, conn, slot: dict):
+    """A worker's loop. Each message is one clip's `_clip_backward` arguments after the
+    model; the worker runs it, copies the gradients into `slot` and answers with the
+    losses and the names it reached, or with the exception the clip raised. The master
+    sends the next clip only after folding the slot, so the slot is free. Ends when the
+    master closes the pipe."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the master handles Ctrl-C and ends the pool
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)  # so that `ClipPool.close` ends it
+    params = model.named()
+    while True:
+        try:
+            job = conn.recv()
+        except EOFError:
+            return
+        for p in params.values():
+            p.grad = None
+        try:
+            losses = _clip_backward(model, *job)
+            reached = [name for name, p in params.items() if p.grad is not None]
+            for name in reached:
+                np.copyto(slot[name], params[name].grad)
+            answer = losses, reached
+        except Exception as e:  # re-raised by the master at this clip's turn
+            answer = e
+        conn.send(answer)
+
+
+class ClipPool:
+    """The processes that run the clips of `training_step`: this one and `processes - 1`
+    workers forked here, with clip i on process i mod `processes`.
+
+    With more than one process, the model's weights move into shared memory, where
+    `AdamW.step` updates them in place and every worker reads them; a weight given a new
+    array afterwards is not seen by the workers. Each worker returns a clip's gradients
+    through one shared slot of its own.
+
+    OpenBLAS runs one thread in every process while the pool is open, whatever the
+    count: threaded BLAS in each process would oversubscribe the cores (2.3x slower at
+    300 frames on 2 cores), and OpenBLAS at 2 threads rounds some products differently
+    from 1 thread, so the bytes would depend on W and on the machine. Use as a context
+    manager, or call `close`, which ends and joins every worker and gives OpenBLAS back
+    its thread count; a step that raises closes the pool, and a closed pool runs every
+    clip in this process."""
+
+    def __init__(self, model: GestureModel, processes: int):
+        self.workers = []  # (process, pipe end, gradient slot by weight name)
+        self._blas = [(get(), put) for get, put in _openblas_threads()]  # count before, setter
+        for _, put in self._blas:
+            put(1)  # before the fork, so that the workers inherit it
+        if processes < 2:
+            return
+        params = model.named()
+        for name, shared in _shared_arrays(params).items():
+            shared[...] = params[name].value
+            params[name].value = shared
+        ctx = multiprocessing.get_context("fork")
+        try:
+            for _ in range(processes - 1):
+                slot = _shared_arrays(params)
+                here, there = ctx.Pipe()
+                proc = ctx.Process(target=_work, args=(model, there, slot), daemon=True)
+                proc.start()
+                there.close()  # so that the worker's exit reads as EOF here
+                self.workers.append((proc, here, slot))
+        except BaseException:
+            self.close()
+            raise
+
+    def send(self, w: int, job: tuple):
+        self.workers[w - 1][1].send(job)
+
+    def receive(self, w: int, index: int):
+        """Worker w's answer for clip `index`: (losses, {name: slot view}). Re-raises the
+        clip's exception; a worker that exited raises ChildProcessError."""
+        proc, conn, slot = self.workers[w - 1]
+        try:
+            answer = conn.recv()
+        except EOFError:
+            proc.join()
+            raise ChildProcessError(f"training worker {proc.pid} exited with code {proc.exitcode} "
+                                    f"before it returned clip {index}") from None
+        if isinstance(answer, BaseException):
+            raise answer
+        losses, reached = answer
+        return losses, {name: slot[name] for name in reached}
+
+    def close(self):
+        for proc, _, _ in self.workers:
+            proc.terminate()
+        for proc, conn, _ in self.workers:
+            proc.join()
+            conn.close()
+        for threads, put in self._blas:
+            put(threads)
+        self.workers, self._blas = [], []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
 def training_step(model: GestureModel, optimizer: AdamW, batch: list,
                   schedule: DiffusionSchedule, rng: np.random.Generator,
-                  huber_delta: float = 1.0) -> dict:
+                  huber_delta: float = 1.0, pool: Optional[ClipPool] = None) -> dict:
     """One stochastic step over a batch of clips.
 
     Per clip: draw t and noise, form x_t, encode + mask conditions, fuse,
     predict the clean sample, score Huber gesture loss plus L1
     style/emotion alignment, and backpropagate that loss over the batch
     size before the next clip starts, so memory holds one clip's graph
-    whatever the batch. Gradients are accumulated clip by clip, in clip
-    order; as each weight gets one contribution per clip, the sums equal
-    one backward over the whole batch bit for bit. A weight that no clip
-    reaches keeps `grad` None. A non-finite clip loss raises
-    `NumericalError` before any weight or moment changes. Returns the
-    component losses, each the mean over the batch.
+    whatever the batch. Every clip's draws are taken first, clip by clip,
+    so the RNG stream does not depend on where the clips run. With a `pool`
+    of W processes, clip i runs on process i mod W, this one included.
+    Gradients are accumulated clip by clip, in clip order, each clip as
+    soon as its turn comes; as each weight gets one contribution per clip,
+    the sums equal one backward over the whole batch bit for bit, whatever
+    W. A weight that no clip reaches keeps `grad` None. A non-finite clip
+    loss raises `NumericalError` for the lowest such clip before any weight
+    or moment changes. Returns the component losses, each the mean over the
+    batch.
     """
     if not batch:
         raise ShapeError("empty training batch")
     n = len(batch)
     params = optimizer.params
+    jobs = [(ex, schedule, _draw_clip(rng, ex, schedule.steps), huber_delta, n, i)
+            for i, ex in enumerate(batch)]
+    procs = 1 + len(pool.workers) if pool else 1
     losses, grads = [], {}  # (l_g, l_s, l_e) per clip; the gradient sums so far
-    for i, ex in enumerate(batch):
-        for p in params.values():
-            p.grad = None
-        losses.append(_clip_backward(model, ex, schedule, rng, huber_delta, n, i))
-        for name, p in params.items():
-            if p.grad is None:
-                continue
-            # out of place: two weights may hold one gradient array
-            grads[name] = grads[name] + p.grad if name in grads else p.grad
+    try:
+        for w in range(1, min(procs, n)):
+            pool.send(w, jobs[w])
+        for i, job in enumerate(jobs):
+            w = i % procs
+            if w == 0:
+                for p in params.values():
+                    p.grad = None
+                losses.append(_clip_backward(model, *job))
+                clip_grads = {name: p.grad for name, p in params.items() if p.grad is not None}
+            else:
+                clip_losses, clip_grads = pool.receive(w, i)
+                losses.append(clip_losses)
+            for name, g in clip_grads.items():
+                if name in grads:  # out of place: two weights may hold one gradient array
+                    grads[name] = grads[name] + g
+                else:  # a worker's slot is refilled with its next clip
+                    grads[name] = g.copy() if w else g
+            if w and i + procs < n:
+                pool.send(w, jobs[i + procs])  # the worker's credit to refill its slot
+    except BaseException:
+        if pool:
+            pool.close()  # its workers may be inside a clip of this step
+        raise
     for name, p in params.items():
         p.grad = grads.get(name)
     optimizer.step()

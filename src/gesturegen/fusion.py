@@ -220,10 +220,11 @@ def cross_local_attention(weights: FusionWeights, x: Tensor) -> Tensor:
     return ad.matmul(ad.concat(pieces, axis=0), weights.local_w) + weights.local_b
 
 
-def mask_conditions(f_s: Tensor, f_e: Tensor, p: float, rng: np.random.Generator):
-    """Independently zero the whole-clip style/emotion features with prob p."""
-    keep_s = 0.0 if rng.random() < p else 1.0
-    keep_e = 0.0 if rng.random() < p else 1.0
+def mask_conditions(f_s: Tensor, f_e: Tensor, p: float, u):
+    """Zero the whole-clip style features when u[0] < p and the emotion features when
+    u[1] < p; with `u` two uniform draws, each is dropped independently with prob p."""
+    keep_s = 0.0 if u[0] < p else 1.0
+    keep_e = 0.0 if u[1] < p else 1.0
     return f_s * keep_s, f_e * keep_e
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import os
 import traceback
 from pathlib import Path
 
@@ -47,6 +48,10 @@ def _checkpoint_config(cfg: dict, dataset: Dataset) -> dict:
 def run_train(cfg: dict, dataset_dir, out_dir) -> dict:
     """Train for cfg['train.steps'] steps; write checkpoint + loss CSV.
 
+    A step's clips run on min(batch, usable cores) processes: this one and
+    workers forked for the run (`dn.ClipPool`), all joined before it returns
+    or raises. The outputs do not depend on that count.
+
     Returns {'loss_rows': [...], 'checkpoint': path, 'loss_log': path}.
     On a non-finite loss the last good checkpoint is kept and the error
     re-raised.
@@ -69,16 +74,19 @@ def run_train(cfg: dict, dataset_dir, out_dir) -> dict:
         write_checkpoint(ckpt_path, arrays, _checkpoint_config(cfg, dataset), step)
 
     rows = []
-    with open(log_path, "w", newline="") as f:
+    size = min(cfg["train.batch"], len(dataset.records))
+    # without an affinity call (macOS, Windows) training stays in this process
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    with dn.ClipPool(model, min(size, cores)) as pool, \
+            open(log_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(LOSS_HEADER)
         for step in range(cfg["train.steps"]):
-            batch_idx = rng.choice(len(dataset.records), size=min(cfg["train.batch"], len(dataset.records)),
-                                   replace=False)
+            batch_idx = rng.choice(len(dataset.records), size=size, replace=False)
             batch = [dataset.records[i] for i in batch_idx]
             try:
                 losses = dn.training_step(model, opt, batch, schedule, rng,
-                                          huber_delta=cfg["train.huber_delta"])
+                                          huber_delta=cfg["train.huber_delta"], pool=pool)
             except NumericalError:
                 if rows:
                     save(step)

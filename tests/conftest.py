@@ -3,6 +3,8 @@
 Session-scoped so the expensive artifacts (synthetic datasets, a short
 training run) are built once and reused across test modules.
 """
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,19 @@ def grad_mode_left_on():
     if not ad.is_grad_enabled():
         ad._grad_enabled = True  # so the leak does not spread to later tests
         pytest.fail("autodiff grad mode was left off (a no_grad block did not exit)")
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a live `multiprocessing` child, such as a training worker
+    that was never joined; the child is ended so that it does not outlive the suite."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.kill()
+        child.join()
+    if left:
+        pytest.fail(f"child processes left running: {left}")
 
 
 @pytest.fixture()

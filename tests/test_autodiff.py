@@ -62,7 +62,8 @@ def test_clip_backward_keeps_leaf_gradient_bits_and_drops_interior_ones(monkeypa
         backward(self)
 
     monkeypatch.setattr(ad.Tensor, "backward", recording_backward)
-    dn._clip_backward(model, ex, build_schedule(10, 1e-4, 0.2), np.random.default_rng(2),
+    schedule = build_schedule(10, 1e-4, 0.2)
+    dn._clip_backward(model, ex, schedule, dn._draw_clip(np.random.default_rng(2), ex, schedule.steps),
                       1.0, 1, 0)
     (root,) = roots
     order = root._topo()
@@ -147,17 +148,18 @@ def test_training_step_sums_clip_gradients_out_of_place(monkeypatch):
     """Two weights that receive one gradient array per clip: the step must still give
     each one the sum of its own clip gradients."""
     w1, w2 = ad.tensor(np.zeros((2, 3))), ad.tensor(np.ones((2, 3)))
-    batch = [np.random.default_rng(i).normal(0, 1, (2, 3)) for i in range(2)]
+    batch = [dn.TrainExample(np.random.default_rng(i).normal(0, 1, (2, 3)), None, None, 0, 0)
+             for i in range(2)]
 
-    def clip_backward(model, ex, schedule, rng, huber_delta, n, index):
-        (((w1 + w2) * ex).sum() * (1.0 / n)).backward()
+    def clip_backward(model, ex, schedule, draws, huber_delta, n, index):
+        (((w1 + w2) * ex.x0).sum() * (1.0 / n)).backward()
         assert w1.grad is w2.grad
         return 0.0, 0.0, 0.0
 
     monkeypatch.setattr(dn, "_clip_backward", clip_backward)
     opt = dn.AdamW({"w1": w1, "w2": w2}, lr=1e-3)
     dn.training_step(None, opt, batch, build_schedule(10, 1e-4, 0.2), np.random.default_rng(0))
-    want = (0.5 * batch[0] + 0.5 * batch[1]).tobytes()
+    want = (0.5 * batch[0].x0 + 0.5 * batch[1].x0).tobytes()
     assert w1.grad.tobytes() == want and w2.grad.tobytes() == want
 
 

@@ -220,31 +220,47 @@ def test_training_step_rejects_empty_batch(rng):
         dn.training_step(model, opt, [], build_schedule(10, 1e-4, 0.2), np.random.default_rng(0))
 
 
-def test_training_step_raises_on_nonfinite(rng):
+def _training_state(model, opt):
+    return ({k: p.value.tobytes() for k, p in model.named().items()},
+            {k: a.tobytes() for k, a in opt.m.items()},
+            {k: a.tobytes() for k, a in opt.v.items()}, opt.t)
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+def test_training_step_raises_on_nonfinite(rng, processes):
     model = make_tiny_model()
     model.fusion.gesture_w.value[...] = np.inf
     opt = dn.AdamW(model.named(), lr=1e-3)
-    with pytest.raises(NumericalError):
+    before = _training_state(model, opt)
+    with dn.ClipPool(model, processes) as pool, pytest.raises(NumericalError, match="clip 0"):
         dn.training_step(model, opt, make_batch(rng), build_schedule(10, 1e-4, 0.2),
-                         np.random.default_rng(0))
+                         np.random.default_rng(0), pool=pool)
+    assert _training_state(model, opt) == before
 
 
-def test_training_step_raises_before_any_update_when_a_later_clip_is_nonfinite(rng):
+@pytest.mark.parametrize("processes", [1, 2])
+def test_training_step_raises_before_any_update_when_a_later_clip_is_nonfinite(rng, processes):
     """The first clip is finite and runs its backward; the second is not. No weight,
-    moment or step count may change."""
+    moment or step count may change. On 2 processes the second clip is the worker's."""
     model = make_tiny_model()
     opt = dn.AdamW(model.named(), lr=1e-3)
     sch = build_schedule(10, 1e-4, 0.2)
-    dn.training_step(model, opt, make_batch(rng), sch, np.random.default_rng(1))
-    batch = make_batch(rng, n=3)
-    batch[1].audio[2, 1] = np.inf
-    state = lambda: ({k: p.value.tobytes() for k, p in model.named().items()},
-                     {k: a.tobytes() for k, a in opt.m.items()},
-                     {k: a.tobytes() for k, a in opt.v.items()}, opt.t)
-    before = state()
-    with pytest.raises(NumericalError, match="clip 1"):
-        dn.training_step(model, opt, batch, sch, np.random.default_rng(2))
-    assert state() == before
+    with dn.ClipPool(model, processes) as pool:
+        dn.training_step(model, opt, make_batch(rng), sch, np.random.default_rng(1), pool=pool)
+        batch = make_batch(rng, n=3)
+        batch[1].audio[2, 1] = np.inf
+        before = _training_state(model, opt)
+        with pytest.raises(NumericalError, match="clip 1"):
+            dn.training_step(model, opt, batch, sch, np.random.default_rng(2), pool=pool)
+    assert _training_state(model, opt) == before
+
+
+def test_clip_pool_runs_openblas_on_one_thread_and_gives_its_count_back():
+    counts = lambda: [get() for get, _ in dn._openblas_threads()]
+    before = counts()
+    with dn.ClipPool(make_tiny_model(), 2):
+        assert counts() == [1] * len(before)
+    assert counts() == before
 
 
 def _one_graph_step(model, optimizer, batch, schedule, rng, huber_delta=1.0):
@@ -260,7 +276,7 @@ def _one_graph_step(model, optimizer, batch, schedule, rng, huber_delta=1.0):
                                       ex.style_id, ex.emotion_id, x_t, t)
         target_s, target_e = bundle.f_s, bundle.f_e
         bundle.f_s, bundle.f_e = fu.mask_conditions(bundle.f_s, bundle.f_e,
-                                                    model.fusion.spec.mask_prob, rng)
+                                                    model.fusion.spec.mask_prob, rng.random(2))
         out = fu.fusion_forward(model.fusion, bundle)
         x0_hat = dn.denoiser_forward(model.denoiser, out.f_fuse)
         l_g = ad.huber_loss(x0_hat - ad.tensor(ex.x0), huber_delta)

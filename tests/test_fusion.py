@@ -106,13 +106,13 @@ def test_mask_conditions_rate(rng):
     f_e = ad.tensor(np.ones(4))
     n, hits_s, hits_e = 4000, 0, 0
     for _ in range(n):
-        ms, me = fu.mask_conditions(f_s, f_e, 0.25, rng)
+        ms, me = fu.mask_conditions(f_s, f_e, 0.25, rng.random(2))
         hits_s += np.all(ms.value == 0)
         hits_e += np.all(me.value == 0)
     for hits in (hits_s, hits_e):
         assert abs(hits / n - 0.25) < 3 * np.sqrt(0.25 * 0.75 / n)
     # masking is all-or-nothing per clip
-    ms, _ = fu.mask_conditions(f_s, f_e, 1.0, rng)
+    ms, _ = fu.mask_conditions(f_s, f_e, 1.0, rng.random(2))
     assert np.all(ms.value == 0)
 
 

@@ -1,13 +1,15 @@
 """Experiment harness (train/sample/eval) and the CLI surface."""
 import hashlib
 import json
+import multiprocessing
+import os
 import shutil
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from gesturegen import cli, config, fusion as fu, harness, metrics as mt, synthetic
+from gesturegen import cli, config, denoiser as dn, fusion as fu, harness, metrics as mt, synthetic
 from gesturegen.errors import ConfigError, DataError, ParseError
 from gesturegen.fileio import read_checkpoint, read_features, write_checkpoint, write_features
 
@@ -22,6 +24,65 @@ def test_run_train_outputs(mini_run, mini_cfg):
     first = log[1].split(",")
     assert first[0] == "0" and len(first) == 5
     float(first[1])  # parseable
+
+
+def _use_cores(monkeypatch, n):
+    """Make `run_train` see n usable cores, so that it trains on min(batch, n) processes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.mark.parametrize("patch", [{}, {"synthetic.frames": 300}, {"model.mode": "SA"},
+                                   {"train.batch": 3}], ids=["60", "300", "SA", "batch-3"])
+def test_run_train_writes_the_same_bytes_on_one_and_two_processes(tmp_path, mini_cfg, mini_corpus,
+                                                                  monkeypatch, patch):
+    cfg = config.load_config(overrides=mini_cfg | patch | {"train.steps": 3})
+    corpus = mini_corpus
+    if cfg["synthetic.frames"] != mini_cfg["synthetic.frames"]:
+        corpus = tmp_path / "data"
+        synthetic.gen_synthetic_dataset(synthetic.SyntheticSpec.from_config(cfg), corpus)
+    outputs = []
+    for cores in (1, 2):
+        _use_cores(monkeypatch, cores)
+        out = tmp_path / f"run-{cores}"
+        harness.run_train(cfg, corpus, out)
+        outputs.append([(out / f).read_bytes() for f in ("loss.csv", "model.ckpt")])
+    assert outputs[0] == outputs[1]
+    if patch == {"model.mode": "SA"}:  # some weights no clip reaches: never stepped
+        arrays, _, _ = read_checkpoint(tmp_path / "run-2" / "model.ckpt")
+        assert any(not a.any() for k, a in arrays.items() if k.startswith("opt.m."))
+
+
+def test_run_train_reraises_a_worker_error_and_leaves_no_process(tmp_path, mini_cfg, mini_corpus,
+                                                                  monkeypatch):
+    clip_backward, master = dn._clip_backward, os.getpid()
+
+    def failing(model, ex, schedule, draws, huber_delta, n, index):
+        if index == 1:
+            raise RuntimeError(f"clip {index} failed in process {os.getpid()}")
+        return clip_backward(model, ex, schedule, draws, huber_delta, n, index)
+
+    monkeypatch.setattr(dn, "_clip_backward", failing)
+    _use_cores(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="clip 1 failed") as err:
+        harness.run_train(mini_cfg, mini_corpus, tmp_path)
+    assert str(err.value) != f"clip 1 failed in process {master}"  # it ran on the worker
+    assert multiprocessing.active_children() == []
+
+
+def test_run_train_raises_when_a_worker_dies_and_leaves_no_process(tmp_path, mini_cfg, mini_corpus,
+                                                                   monkeypatch):
+    clip_backward = dn._clip_backward
+
+    def dying(model, ex, schedule, draws, huber_delta, n, index):
+        if index == 1:
+            os._exit(1)
+        return clip_backward(model, ex, schedule, draws, huber_delta, n, index)
+
+    monkeypatch.setattr(dn, "_clip_backward", dying)
+    _use_cores(monkeypatch, 2)
+    with pytest.raises(ChildProcessError, match="exited with code 1 before it returned clip 1"):
+        harness.run_train(mini_cfg, mini_corpus, tmp_path)
+    assert multiprocessing.active_children() == []
 
 
 def test_checkpoint_contains_model_and_optimizer(mini_run):
