@@ -9,6 +9,7 @@ import ctypes
 import mmap
 import multiprocessing
 import operator
+import os
 import signal
 from dataclasses import dataclass
 from functools import reduce
@@ -135,14 +136,60 @@ def predict_x0(model: GestureModel, audio: np.ndarray, text: np.ndarray,
 _BLOCK = 1 << 15  # elements per AdamW update block: its six arrays (1.5 MB) fit a core's L2 cache
 
 
+def _block_rows(a: np.ndarray) -> list:
+    """Slices along axis 0 that cut `np.atleast_1d(a)` into blocks of about `_BLOCK`
+    elements (at least one row each; a 0-d array is one block of one element)."""
+    a = np.atleast_1d(a)
+    rows = max(1, _BLOCK * len(a) // max(1, a.size))
+    return [slice(i, i + rows) for i in range(0, len(a), rows)]
+
+
 def _blocks(*arrays):
-    """Views of same-shape arrays, cut along axis 0 into blocks of about `_BLOCK` elements
-    (at least one row each; a 0-d array is one block of one element)."""
+    """Views of same-shape arrays, block by block (`_block_rows`)."""
     arrays = [np.atleast_1d(a) for a in arrays]
-    n = len(arrays[0])
-    rows = max(1, _BLOCK * n // max(1, arrays[0].size))
-    for i in range(0, n, rows):
-        yield [a[i:i + rows] for a in arrays]
+    for rows in _block_rows(arrays[0]):
+        yield [a[rows] for a in arrays]
+
+
+def _shares(params: dict, processes: int) -> list:
+    """The update blocks of `params`, in order, cut into `processes` contiguous shares of
+    about equal element count: each cut is the block boundary nearest its target, so a
+    share is within one block of the mean. A share lists (name, row slice), with a
+    weight's consecutive blocks in one slice."""
+    blocks = [(name, rows) for name, p in params.items() for rows in _block_rows(p.value)]
+    sizes = [np.atleast_1d(params[name].value)[rows].size for name, rows in blocks]
+    bounds = np.cumsum([0] + sizes)
+    cuts = [int(np.abs(bounds - bounds[-1] * k / processes).argmin()) for k in range(processes + 1)]
+    shares = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        share = {}
+        for name, rows in blocks[lo:hi]:
+            share[name] = slice(share.get(name, rows).start, rows.stop)
+        shares.append(list(share.items()))
+    return shares
+
+
+def _adamw_update(m, v, x, g, t: int, lr: float, weight_decay: float, scratch):
+    """AdamW step t of same-shape arrays, in place, block by block (see `AdamW.step`);
+    `scratch` is two buffers of at least one block."""
+    b1, b2 = 0.9, 0.999
+    c1, c2 = 1.0 - b1, 1.0 - b2
+    b1c = 1.0 - b1 ** t
+    b2c = 1.0 - b2 ** t
+    for m, v, x, g in _blocks(m, v, x, g):
+        s, u = (buf[:x.size].reshape(x.shape) for buf in scratch)
+        np.multiply(m, b1, out=m)
+        m += np.multiply(c1, g, out=s)
+        np.multiply(v, b2, out=v)
+        v += np.multiply(np.multiply(c2, g, out=s), g, out=s)
+        np.divide(m, b1c, out=u)
+        np.sqrt(np.divide(v, b2c, out=s), out=s)
+        s += 1e-8
+        u /= s
+        np.multiply(weight_decay, x, out=s)
+        s += u
+        s *= lr
+        x -= s
 
 
 class AdamW:
@@ -150,46 +197,56 @@ class AdamW:
     over a named parameter dict, with betas (0.9, 0.999) and eps 1e-8. `step`
     updates the moments and the values in place, block by block, through two
     scratch buffers of one block; they live only during the step, so they add
-    nothing to a training step's peak memory."""
+    nothing to a training step's peak memory. Given a `ClipPool`, the step splits
+    its blocks over the pool's processes (`ClipPool.shares`)."""
 
     def __init__(self, params: dict, lr: float, weight_decay: float = 1e-4):
         self.params = params
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {k: np.zeros_like(p.value) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.value) for k, p in params.items()}
+        # np.zeros leaves a large array's pages untouched until the first step writes
+        # them, so moving the moments into a pool's shared memory touches one copy
+        self.m = {k: np.zeros(p.value.shape) for k, p in params.items()}
+        self.v = {k: np.zeros(p.value.shape) for k, p in params.items()}
         self._size = max((x.size for p in params.values() for (x,) in _blocks(p.value)), default=0)
+        self._all = [(name, slice(None)) for name in params]  # the serial step's one share
 
-    def step(self):
+    def step(self, pool: Optional[ClipPool] = None):
         """m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;
         u = (m/b1c) / (sqrt(v/b2c) + eps);  p -= lr*(u + wd*p).
         Each operation writes into an existing buffer, in this order, so the
         result equals these expressions bit for bit; blocks keep the buffers
-        in cache. Parameters without a gradient are skipped."""
+        in cache. Parameters without a gradient are skipped.
+
+        With a `pool` of W > 1 processes, process w updates share w of the blocks:
+        each worker gets its share of the gradients through its slot, this process
+        updates share 0 from `.grad` and then waits for every worker. The update is
+        elementwise, so the bits do not depend on W. An error in a worker is raised
+        here, and closes the pool."""
         self.t += 1
-        b1, b2 = 0.9, 0.999
-        c1, c2 = 1.0 - b1, 1.0 - b2
-        b1c = 1.0 - b1 ** self.t
-        b2c = 1.0 - b2 ** self.t
+        grads = {name: p.grad for name, p in self.params.items() if p.grad is not None}
+        if not (pool and pool.workers):
+            self._update(self._all, grads, self.t)
+            return
+        try:
+            for w in range(1, len(pool.shares)):
+                pool.send_update(w, self.t, grads)
+            self._update(pool.shares[0], grads, self.t)
+            for w in range(1, len(pool.shares)):
+                pool.receive_update(w, self.t)
+        except BaseException:
+            pool.close()  # its workers may be inside their shares of this step
+            raise
+
+    def _update(self, share: list, grads: dict, t: int):
+        """Step t of the rows that `share` names, for the weights in `grads`."""
         scratch = (np.empty(self._size), np.empty(self._size))
-        for name, p in self.params.items():
-            if p.grad is None:
-                continue
-            for m, v, x, g in _blocks(self.m[name], self.v[name], p.value, p.grad):
-                s, u = (buf[:x.size].reshape(x.shape) for buf in scratch)
-                np.multiply(m, b1, out=m)
-                m += np.multiply(c1, g, out=s)
-                np.multiply(v, b2, out=v)
-                v += np.multiply(np.multiply(c2, g, out=s), g, out=s)
-                np.divide(m, b1c, out=u)
-                np.sqrt(np.divide(v, b2c, out=s), out=s)
-                s += 1e-8
-                u /= s
-                np.multiply(self.weight_decay, x, out=s)
-                s += u
-                s *= self.lr
-                x -= s
+        for name, rows in share:
+            if name in grads:
+                arrays = (self.m[name], self.v[name], self.params[name].value, grads[name])
+                _adamw_update(*(np.atleast_1d(a)[rows] for a in arrays),
+                              t, self.lr, self.weight_decay, scratch)
 
     def state_arrays(self) -> dict:
         """`opt.step` and the live moment arrays, not copies: the next `step`
@@ -201,11 +258,12 @@ class AdamW:
         return out
 
     def load_state_arrays(self, arrays: dict):
-        """Copy the moments in, so that `step` never writes to the caller's arrays."""
+        """Copy the moments into the existing arrays, so that `step` never writes to the
+        caller's arrays and a pool's workers see the loaded values."""
         self.t = int(arrays["opt.step"][0])
         for name in self.params:
-            self.m[name] = np.array(arrays[f"opt.m.{name}"], dtype=np.float64)
-            self.v[name] = np.array(arrays[f"opt.v.{name}"], dtype=np.float64)
+            np.copyto(self.m[name], arrays[f"opt.m.{name}"])
+            np.copyto(self.v[name], arrays[f"opt.v.{name}"])
 
 
 # -- training -----------------------------------------------------------
@@ -260,17 +318,22 @@ def _clip_backward(model: GestureModel, ex: TrainExample, schedule: DiffusionSch
     return float(l_g.value), float(l_s.value), float(l_e.value)
 
 
-def _shared_arrays(params: dict) -> dict:
-    """Zeroed float64 arrays shaped like the values of `params`, by name, in one anonymous
-    shared mapping: a process forked later writes and reads the same memory. Each array
-    starts on a 64-byte boundary."""
+def _shared_arrays(arrays: dict) -> dict:
+    """Zeroed float64 arrays shaped like `arrays`, by name, in one anonymous shared
+    mapping: a process forked later writes and reads the same memory. Each array starts
+    on a 64-byte boundary."""
     offsets, end = {}, 0
-    for name, p in params.items():
+    for name, a in arrays.items():
         offsets[name] = end
-        end += -(-p.value.nbytes // 64) * 64
+        end += -(-a.nbytes // 64) * 64
     buf = mmap.mmap(-1, max(end, 1))
-    return {name: np.frombuffer(buf, np.float64, p.value.size, offsets[name]).reshape(p.value.shape)
-            for name, p in params.items()}
+    return {name: np.frombuffer(buf, np.float64, a.size, offsets[name]).reshape(a.shape)
+            for name, a in arrays.items()}
+
+
+def usable_cores() -> int:
+    """The cores this process may run on; 1 without an affinity call (macOS, Windows)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def _openblas_threads() -> list:
@@ -297,41 +360,53 @@ def _openblas_threads() -> list:
     return found
 
 
-def _work(model: GestureModel, conn, slot: dict):
-    """A worker's loop. Each message is one clip's `_clip_backward` arguments after the
-    model; the worker runs it, copies the gradients into `slot` and answers with the
-    losses and the names it reached, or with the exception the clip raised. The master
-    sends the next clip only after folding the slot, so the slot is free. Ends when the
+def _work(model, optimizer: AdamW, share: list, conn, slot: dict):
+    """A worker's loop. A message is ("clip", the arguments of `_clip_backward` after the
+    model) or ("adamw", (t, names)). For a clip, the worker runs it, copies the gradients
+    into `slot` and answers with the losses and the names it reached; the master sends
+    the next clip only after folding the slot, so the slot is free. For AdamW step t, it
+    updates its `share` of the weights named, from the gradients the master put in
+    `slot`, and answers None. An exception raised instead is the answer. Ends when the
     master closes the pipe."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the master handles Ctrl-C and ends the pool
     signal.signal(signal.SIGTERM, signal.SIG_DFL)  # so that `ClipPool.close` ends it
-    params = model.named()
+    params = optimizer.params
     while True:
         try:
-            job = conn.recv()
+            kind, job = conn.recv()
         except EOFError:
             return
-        for p in params.values():
-            p.grad = None
         try:
-            losses = _clip_backward(model, *job)
-            reached = [name for name, p in params.items() if p.grad is not None]
-            for name in reached:
-                np.copyto(slot[name], params[name].grad)
-            answer = losses, reached
-        except Exception as e:  # re-raised by the master at this clip's turn
+            if kind == "adamw":
+                t, names = job
+                optimizer._update(share, {name: slot[name] for name in names}, t)
+                answer = None
+            else:
+                for p in params.values():
+                    p.grad = None
+                losses = _clip_backward(model, *job)
+                reached = [name for name, p in params.items() if p.grad is not None]
+                for name in reached:
+                    np.copyto(slot[name], params[name].grad)
+                answer = losses, reached
+        except Exception as e:  # re-raised by the master when it reads this answer
             answer = e
         conn.send(answer)
 
 
 class ClipPool:
-    """The processes that run the clips of `training_step`: this one and `processes - 1`
-    workers forked here, with clip i on process i mod `processes`.
+    """The processes that run the clips of `training_step` and the blocks of
+    `AdamW.step`: this one and `processes - 1` workers forked here, with clip i on
+    process i mod `processes`.
 
-    With more than one process, the model's weights move into shared memory, where
-    `AdamW.step` updates them in place and every worker reads them; a weight given a new
-    array afterwards is not seen by the workers. Each worker returns a clip's gradients
-    through one shared slot of its own.
+    With more than one process, the optimizer's weights and its moments `m` and `v` move
+    into shared memory before the fork; a weight or moment given a new array afterwards
+    is not seen by the workers, and neither is a new `lr` or `weight_decay`. Each worker
+    has one shared slot, shaped like the weights: it returns a clip's gradients there,
+    and once the step's clips are folded, it gets its share of the summed gradient
+    there. `shares` cuts the optimizer's update blocks (`_blocks`), in `params` order,
+    into one contiguous share per process, of about equal element count and within one
+    block of each other (`_shares`); process w updates share w.
 
     OpenBLAS runs one thread in every process while the pool is open, whatever the
     count: threaded BLAS in each process would oversubscribe the cores (2.3x slower at
@@ -339,25 +414,32 @@ class ClipPool:
     from 1 thread, so the bytes would depend on W and on the machine. Use as a context
     manager, or call `close`, which ends and joins every worker and gives OpenBLAS back
     its thread count; a step that raises closes the pool, and a closed pool runs every
-    clip in this process."""
+    clip and every AdamW block in this process."""
 
-    def __init__(self, model: GestureModel, processes: int):
+    def __init__(self, model, processes: int, optimizer: AdamW):
         self.workers = []  # (process, pipe end, gradient slot by weight name)
+        self.shares = []  # of the update blocks, by process
         self._blas = [(get(), put) for get, put in _openblas_threads()]  # count before, setter
         for _, put in self._blas:
             put(1)  # before the fork, so that the workers inherit it
         if processes < 2:
             return
-        params = model.named()
-        for name, shared in _shared_arrays(params).items():
-            shared[...] = params[name].value
-            params[name].value = shared
+        params = optimizer.params
+        values = {name: p.value for name, p in params.items()}
+        for arrays in (values, optimizer.m, optimizer.v):
+            for name, shared in _shared_arrays(arrays).items():
+                shared[...] = arrays[name]
+                arrays[name] = shared
+        for name, p in params.items():
+            p.value = values[name]
+        self.shares = _shares(params, processes)
         ctx = multiprocessing.get_context("fork")
         try:
-            for _ in range(processes - 1):
-                slot = _shared_arrays(params)
+            for share in self.shares[1:]:
+                slot = _shared_arrays(values)
                 here, there = ctx.Pipe()
-                proc = ctx.Process(target=_work, args=(model, there, slot), daemon=True)
+                proc = ctx.Process(target=_work, args=(model, optimizer, share, there, slot),
+                                   daemon=True)
                 proc.start()
                 there.close()  # so that the worker's exit reads as EOF here
                 self.workers.append((proc, here, slot))
@@ -366,22 +448,40 @@ class ClipPool:
             raise
 
     def send(self, w: int, job: tuple):
-        self.workers[w - 1][1].send(job)
+        """Give worker w a clip: the arguments of `_clip_backward` after the model."""
+        self.workers[w - 1][1].send(("clip", job))
 
     def receive(self, w: int, index: int):
-        """Worker w's answer for clip `index`: (losses, {name: slot view}). Re-raises the
-        clip's exception; a worker that exited raises ChildProcessError."""
-        proc, conn, slot = self.workers[w - 1]
+        """Worker w's answer for clip `index`: (losses, {name: slot view})."""
+        losses, reached = self._answer(w, f"clip {index}")
+        slot = self.workers[w - 1][2]
+        return losses, {name: slot[name] for name in reached}
+
+    def send_update(self, w: int, t: int, grads: dict):
+        """Copy worker w's share of `grads` into its slot and have it take AdamW step t."""
+        _, conn, slot = self.workers[w - 1]
+        for name, rows in self.shares[w]:
+            if name in grads:
+                np.copyto(np.atleast_1d(slot[name])[rows], np.atleast_1d(grads[name])[rows])
+        conn.send(("adamw", (t, list(grads))))
+
+    def receive_update(self, w: int, t: int):
+        """Wait until worker w has updated its share in AdamW step t."""
+        self._answer(w, f"its share of AdamW step {t}")
+
+    def _answer(self, w: int, what: str):
+        """Worker w's next answer. Re-raises the exception it sent; a worker that exited
+        raises ChildProcessError."""
+        proc, conn, _ = self.workers[w - 1]
         try:
             answer = conn.recv()
         except EOFError:
             proc.join()
             raise ChildProcessError(f"training worker {proc.pid} exited with code {proc.exitcode} "
-                                    f"before it returned clip {index}") from None
+                                    f"before it returned {what}") from None
         if isinstance(answer, BaseException):
             raise answer
-        losses, reached = answer
-        return losses, {name: slot[name] for name in reached}
+        return answer
 
     def close(self):
         for proc, _, _ in self.workers:
@@ -391,7 +491,7 @@ class ClipPool:
             conn.close()
         for threads, put in self._blas:
             put(threads)
-        self.workers, self._blas = [], []
+        self.workers, self.shares, self._blas = [], [], []
 
     def __enter__(self):
         return self
@@ -409,9 +509,12 @@ def training_step(model: GestureModel, optimizer: AdamW, batch: list,
     predict the clean sample, score Huber gesture loss plus L1
     style/emotion alignment, and backpropagate that loss over the batch
     size before the next clip starts, so memory holds one clip's graph
-    whatever the batch. Every clip's draws are taken first, clip by clip,
-    so the RNG stream does not depend on where the clips run. With a `pool`
-    of W processes, clip i runs on process i mod W, this one included.
+    whatever the batch. Each clip's draws are taken just before it starts
+    here or is sent to a worker, in clip order, so the RNG stream does not
+    depend on where the clips run, and at most W + 1 clips' draws are
+    alive at once. With a `pool` of W processes, clip i runs on process
+    i mod W, this one included, and the pool's processes share the AdamW
+    step.
     Gradients are accumulated clip by clip, in clip order, each clip as
     soon as its turn comes; as each weight gets one contribution per clip,
     the sums equal one backward over the whole batch bit for bit, whatever
@@ -424,19 +527,28 @@ def training_step(model: GestureModel, optimizer: AdamW, batch: list,
         raise ShapeError("empty training batch")
     n = len(batch)
     params = optimizer.params
-    jobs = [(ex, schedule, _draw_clip(rng, ex, schedule.steps), huber_delta, n, i)
-            for i, ex in enumerate(batch)]
+    # a generator: each clip is drawn when `job` first needs it, in clip order
+    jobs = ((ex, schedule, _draw_clip(rng, ex, schedule.steps), huber_delta, n, i)
+            for i, ex in enumerate(batch))
+    drawn = {}  # the clips drawn but not yet started, by index
+
+    def job(k):
+        while k not in drawn:
+            clip = next(jobs)
+            drawn[clip[-1]] = clip
+        return drawn.pop(k)
+
     procs = 1 + len(pool.workers) if pool else 1
     losses, grads = [], {}  # (l_g, l_s, l_e) per clip; the gradient sums so far
     try:
         for w in range(1, min(procs, n)):
-            pool.send(w, jobs[w])
-        for i, job in enumerate(jobs):
+            pool.send(w, job(w))
+        for i in range(n):
             w = i % procs
             if w == 0:
                 for p in params.values():
                     p.grad = None
-                losses.append(_clip_backward(model, *job))
+                losses.append(_clip_backward(model, *job(i)))
                 clip_grads = {name: p.grad for name, p in params.items() if p.grad is not None}
             else:
                 clip_losses, clip_grads = pool.receive(w, i)
@@ -447,14 +559,14 @@ def training_step(model: GestureModel, optimizer: AdamW, batch: list,
                 else:  # a worker's slot is refilled with its next clip
                     grads[name] = g.copy() if w else g
             if w and i + procs < n:
-                pool.send(w, jobs[i + procs])  # the worker's credit to refill its slot
+                pool.send(w, job(i + procs))  # the worker's credit to refill its slot
     except BaseException:
         if pool:
             pool.close()  # its workers may be inside a clip of this step
         raise
     for name, p in params.items():
         p.grad = grads.get(name)
-    optimizer.step()
+    optimizer.step(pool)
     # left folds, in clip order, as the one-graph loss formed them
     l_g, l_s, l_e = (reduce(operator.add, column, 0.0) / n for column in zip(*losses))
     total = reduce(operator.add, [g + s + e for g, s, e in losses]) * (1.0 / n)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import os
 import traceback
 from pathlib import Path
 
@@ -48,9 +47,10 @@ def _checkpoint_config(cfg: dict, dataset: Dataset) -> dict:
 def run_train(cfg: dict, dataset_dir, out_dir) -> dict:
     """Train for cfg['train.steps'] steps; write checkpoint + loss CSV.
 
-    A step's clips run on min(batch, usable cores) processes: this one and
-    workers forked for the run (`dn.ClipPool`), all joined before it returns
-    or raises. The outputs do not depend on that count.
+    A step's clips and its AdamW update run on min(batch, usable cores)
+    processes: this one and workers forked for the run (`dn.ClipPool`), all
+    joined before it returns or raises. The outputs do not depend on that
+    count.
 
     Returns {'loss_rows': [...], 'checkpoint': path, 'loss_log': path}.
     On a non-finite loss the last good checkpoint is kept and the error
@@ -75,9 +75,7 @@ def run_train(cfg: dict, dataset_dir, out_dir) -> dict:
 
     rows = []
     size = min(cfg["train.batch"], len(dataset.records))
-    # without an affinity call (macOS, Windows) training stays in this process
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    with dn.ClipPool(model, min(size, cores)) as pool, \
+    with dn.ClipPool(model, min(size, dn.usable_cores()), opt) as pool, \
             open(log_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(LOSS_HEADER)

@@ -1,4 +1,5 @@
 """Denoiser blocks, variant factory, optimizer, and the training step."""
+import os
 import tracemalloc
 
 import numpy as np
@@ -123,7 +124,9 @@ def test_adamw_state_roundtrip():
         opt.step()
     state = {k: v.copy() for k, v in opt.state_arrays().items()}
     opt2 = dn.AdamW({"p": p}, lr=0.01)
+    m, v = opt2.m["p"], opt2.v["p"]
     opt2.load_state_arrays(state)
+    assert opt2.m["p"] is m and opt2.v["p"] is v  # in place: a pool's workers see them
     assert opt2.t == 3
     assert np.array_equal(opt2.m["p"], opt.m["p"])
     assert np.array_equal(opt2.v["p"], opt.v["p"])
@@ -138,8 +141,11 @@ def _adamw_expression_step(p, m, v, g, t, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
     return p - lr * (update + wd * p), m, v
 
 
+@pytest.mark.parametrize("processes", [1, 2, 3])
 @pytest.mark.parametrize("wd", [0.0, 0.01])
-def test_adamw_in_place_step_equals_expression_form_bit_for_bit(wd):
+def test_adamw_in_place_step_equals_expression_form_bit_for_bit(wd, processes):
+    """On W > 1 processes each worker updates its share of the blocks in shared memory;
+    3 processes is more than the cores of a 2-core machine."""
     rng = np.random.default_rng(5)
     # multi-block shapes (partial last blocks, a row wider than a block) and small ones
     shapes = {"big": (40, 1000), "long": (dn._BLOCK + 3,), "wide": (2, dn._BLOCK + 5),
@@ -148,18 +154,38 @@ def test_adamw_in_place_step_equals_expression_form_bit_for_bit(wd):
     ref = {k: [p.value.copy(), np.zeros(s), np.zeros(s)] for (k, p), s
            in zip(params.items(), shapes.values())}
     opt = dn.AdamW(params, lr=0.05, weight_decay=wd)
-    for t in range(1, 6):
-        for k, p in params.items():
-            # gradients spanning many magnitudes, with a few exact zeros
-            g = rng.normal(0, 1, shapes[k]) * 10.0 ** rng.integers(-6, 4, shapes[k])
-            p.grad = None if k == "frozen" else np.where(rng.random(shapes[k]) < 0.1, 0.0, g)
-            if p.grad is not None:
-                ref[k] = list(_adamw_expression_step(*ref[k], p.grad, t, 0.05, wd))
-        opt.step()
-        for k, p in params.items():
-            for got, want in zip((p.value, opt.m[k], opt.v[k]), ref[k]):
-                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (k, t)
+    with dn.ClipPool(None, processes, opt) as pool:  # no clips: the optimizer alone
+        assert len(pool.workers) == processes - 1
+        for t in range(1, 6):
+            for k, p in params.items():
+                # gradients spanning many magnitudes, with a few exact zeros
+                g = rng.normal(0, 1, shapes[k]) * 10.0 ** rng.integers(-6, 4, shapes[k])
+                p.grad = None if k == "frozen" else np.where(rng.random(shapes[k]) < 0.1, 0.0, g)
+                if p.grad is not None:
+                    ref[k] = list(_adamw_expression_step(*ref[k], p.grad, t, 0.05, wd))
+            opt.step(pool)
+            for k, p in params.items():
+                for got, want in zip((p.value, opt.m[k], opt.v[k]), ref[k]):
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), (k, t)
     assert not opt.m["frozen"].any() and not opt.v["frozen"].any()
+
+
+@pytest.mark.parametrize("processes", [1, 2, 3, 5])
+def test_adamw_shares_cut_the_blocks_in_order_within_one_block_of_the_mean(processes):
+    shapes = {"big": (40, 1000), "long": (dn._BLOCK + 3,), "wide": (2, dn._BLOCK + 5),
+              "vec": (13,), "scalar": ()}
+    params = {k: ad.tensor(np.zeros(s)) for k, s in shapes.items()}
+    blocks = [(k, rows) for k, p in params.items() for rows in dn._block_rows(p.value)]
+    shares = dn._shares(params, processes)
+    assert len(shares) == processes
+    within = [(k, rows) for share in shares for k, merged in share for rows in dn._block_rows(
+        params[k].value) if merged.start <= rows.start and rows.stop <= merged.stop]
+    assert within == blocks  # every block whole and once, in order
+    size = lambda k, rows: np.atleast_1d(params[k].value)[rows].size
+    largest = max(size(k, rows) for k, rows in blocks)
+    mean = sum(size(k, rows) for k, rows in blocks) / processes
+    for share in shares:
+        assert abs(sum(size(k, rows) for k, rows in share) - mean) <= largest
 
 
 def test_adamw_step_leaves_loaded_state_untouched():
@@ -232,7 +258,7 @@ def test_training_step_raises_on_nonfinite(rng, processes):
     model.fusion.gesture_w.value[...] = np.inf
     opt = dn.AdamW(model.named(), lr=1e-3)
     before = _training_state(model, opt)
-    with dn.ClipPool(model, processes) as pool, pytest.raises(NumericalError, match="clip 0"):
+    with dn.ClipPool(model, processes, opt) as pool, pytest.raises(NumericalError, match="clip 0"):
         dn.training_step(model, opt, make_batch(rng), build_schedule(10, 1e-4, 0.2),
                          np.random.default_rng(0), pool=pool)
     assert _training_state(model, opt) == before
@@ -245,7 +271,7 @@ def test_training_step_raises_before_any_update_when_a_later_clip_is_nonfinite(r
     model = make_tiny_model()
     opt = dn.AdamW(model.named(), lr=1e-3)
     sch = build_schedule(10, 1e-4, 0.2)
-    with dn.ClipPool(model, processes) as pool:
+    with dn.ClipPool(model, processes, opt) as pool:
         dn.training_step(model, opt, make_batch(rng), sch, np.random.default_rng(1), pool=pool)
         batch = make_batch(rng, n=3)
         batch[1].audio[2, 1] = np.inf
@@ -255,10 +281,48 @@ def test_training_step_raises_before_any_update_when_a_later_clip_is_nonfinite(r
     assert _training_state(model, opt) == before
 
 
+def test_training_step_draws_each_clip_just_before_it_starts(rng, monkeypatch):
+    """On W processes, clip k starts, here or sent to a worker, with at most k + W
+    clips drawn (batch 8, W = 1 and 2), and both write the same bytes."""
+    draw, clip_backward, send, master = dn._draw_clip, dn._clip_backward, dn.ClipPool.send, os.getpid()
+    drawn, started = [], []  # one entry per draw; (clip, draws taken) per clip start
+
+    def counted_draw(*args):
+        drawn.append(args)
+        return draw(*args)
+
+    def started_here(model, *job):
+        if os.getpid() == master:
+            started.append((job[-1], len(drawn)))
+        return clip_backward(model, *job)
+
+    def started_there(pool, w, job):
+        started.append((job[-1], len(drawn)))
+        return send(pool, w, job)
+
+    monkeypatch.setattr(dn, "_draw_clip", counted_draw)
+    monkeypatch.setattr(dn, "_clip_backward", started_here)
+    monkeypatch.setattr(dn.ClipPool, "send", started_there)
+    batch, sch = make_batch(rng, n=8), build_schedule(10, 1e-4, 0.2)
+    states = []
+    for processes in (1, 2):
+        model = make_tiny_model()
+        opt = dn.AdamW(model.named(), lr=1e-3)
+        drawn.clear()
+        started.clear()
+        with dn.ClipPool(model, processes, opt) as pool:
+            out = dn.training_step(model, opt, batch, sch, np.random.default_rng(1), pool=pool)
+        assert sorted(k for k, _ in started) == list(range(8))
+        assert all(count <= k + processes for k, count in started), (processes, started)
+        states.append((out, _training_state(model, opt)))
+    assert states[0] == states[1]
+
+
 def test_clip_pool_runs_openblas_on_one_thread_and_gives_its_count_back():
     counts = lambda: [get() for get, _ in dn._openblas_threads()]
     before = counts()
-    with dn.ClipPool(make_tiny_model(), 2):
+    model = make_tiny_model()
+    with dn.ClipPool(model, 2, dn.AdamW(model.named(), lr=1e-3)):
         assert counts() == [1] * len(before)
     assert counts() == before
 

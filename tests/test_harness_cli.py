@@ -85,6 +85,70 @@ def test_run_train_raises_when_a_worker_dies_and_leaves_no_process(tmp_path, min
     assert multiprocessing.active_children() == []
 
 
+def _fail_in_workers(monkeypatch, how):
+    """Make every AdamW share update outside this process raise, or end its process."""
+    update, master = dn._adamw_update, os.getpid()
+
+    def failing(*args):
+        if os.getpid() != master:
+            if how == "raise":
+                raise RuntimeError(f"share failed in process {os.getpid()}")
+            os._exit(1)
+        return update(*args)
+
+    monkeypatch.setattr(dn, "_adamw_update", failing)
+
+
+_RUNS = {"train": lambda cfg, corpus, out: harness.run_train(cfg, corpus, out),
+         "extractor": lambda cfg, corpus, out: harness.get_extractor(corpus, cfg)}
+
+
+@pytest.mark.parametrize("run", sorted(_RUNS))
+@pytest.mark.parametrize("how, error, match", [
+    ("raise", RuntimeError, "share failed in process"),
+    ("exit", ChildProcessError, "exited with code 1 before it returned its share of AdamW step 1")],
+    ids=["raise", "exit"])
+def test_a_worker_failing_in_its_adamw_share_is_raised_and_leaves_no_process(
+        tmp_path, mini_cfg, monkeypatch, run, how, error, match):
+    corpus = tmp_path / "data"
+    synthetic.gen_synthetic_dataset(synthetic.SyntheticSpec.from_config(mini_cfg), corpus)
+    _fail_in_workers(monkeypatch, how)
+    _use_cores(monkeypatch, 2)
+    with pytest.raises(error, match=match):
+        _RUNS[run](mini_cfg, corpus, tmp_path / "out")
+    assert multiprocessing.active_children() == []
+
+
+def _count_forks(monkeypatch):
+    """Count the `multiprocessing` contexts asked for: `ClipPool` asks once per fork set."""
+    calls, get_context = [], multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda *a, **k: calls.append(a) or get_context(*a, **k))
+    return calls
+
+
+def test_cold_eval_writes_the_same_bytes_on_one_and_two_processes(tmp_path, mini_cfg,
+                                                                  monkeypatch):
+    """The mini extractor has about 164k weights, more than 4 update blocks, so at 2
+    usable cores its AdamW steps run on 2 processes."""
+    corpus = tmp_path / "data"
+    synthetic.gen_synthetic_dataset(synthetic.SyntheticSpec.from_config(mini_cfg), corpus)
+    outputs = []
+    for cores in (1, 2):
+        ref = tmp_path / f"ref-{cores}"
+        shutil.copytree(corpus, ref)
+        _use_cores(monkeypatch, cores)
+        forks = _count_forks(monkeypatch)
+        harness.run_eval(ref, ref, mini_cfg, out_dir=tmp_path / f"eval-{cores}")
+        assert len(forks) == (cores > 1)
+        outputs.append([(ref / "fgd_extractor.ckpt").read_bytes(),
+                        (tmp_path / f"eval-{cores}" / "report.json").read_bytes()])
+    assert outputs[0] == outputs[1]
+    forks = _count_forks(monkeypatch)
+    harness.get_extractor(ref, mini_cfg)  # a cache hit
+    assert forks == [] and multiprocessing.active_children() == []
+
+
 def test_checkpoint_contains_model_and_optimizer(mini_run):
     arrays, cfg, step = read_checkpoint(mini_run["checkpoint"])
     assert step == 8
