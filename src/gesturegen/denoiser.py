@@ -136,69 +136,57 @@ def predict_x0(model: GestureModel, audio: np.ndarray, text: np.ndarray,
 _BLOCK = 1 << 15  # elements per AdamW update block: its six arrays (1.5 MB) fit a core's L2 cache
 
 
-def _block_rows(a: np.ndarray) -> list:
-    """Slices along axis 0 that cut `np.atleast_1d(a)` into blocks of about `_BLOCK`
-    elements (at least one row each; a 0-d array is one block of one element)."""
-    a = np.atleast_1d(a)
-    rows = max(1, _BLOCK * len(a) // max(1, a.size))
-    return [slice(i, i + rows) for i in range(0, len(a), rows)]
-
-
-def _blocks(*arrays):
-    """Views of same-shape arrays, block by block (`_block_rows`)."""
-    arrays = [np.atleast_1d(a) for a in arrays]
-    for rows in _block_rows(arrays[0]):
-        yield [a[rows] for a in arrays]
+def _blocks(params: dict) -> list:
+    """The AdamW update blocks of `params`, in order: (name, rows) for each, where `rows`
+    slices `np.atleast_1d` of the weight along axis 0 into blocks of about `_BLOCK`
+    elements (at least one row each; a 0-d weight is one block of one element)."""
+    blocks = []
+    for name, p in params.items():
+        a = np.atleast_1d(p.value)
+        rows = max(1, _BLOCK * len(a) // max(1, a.size))
+        blocks += [(name, slice(i, i + rows)) for i in range(0, len(a), rows)]
+    return blocks
 
 
 def _shares(params: dict, processes: int) -> list:
-    """The update blocks of `params`, in order, cut into `processes` contiguous shares of
-    about equal element count: each cut is the block boundary nearest its target, so a
-    share is within one block of the mean. A share lists (name, row slice), with a
-    weight's consecutive blocks in one slice."""
-    blocks = [(name, rows) for name, p in params.items() for rows in _block_rows(p.value)]
+    """`_blocks(params)` cut into `processes` contiguous shares of about equal element
+    count: each cut is the block boundary nearest its target, so a share is within one
+    block of the mean."""
+    blocks = _blocks(params)
     sizes = [np.atleast_1d(params[name].value)[rows].size for name, rows in blocks]
     bounds = np.cumsum([0] + sizes)
-    cuts = [int(np.abs(bounds - bounds[-1] * k / processes).argmin()) for k in range(processes + 1)]
-    shares = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        share = {}
-        for name, rows in blocks[lo:hi]:
-            share[name] = slice(share.get(name, rows).start, rows.stop)
-        shares.append(list(share.items()))
-    return shares
+    cuts = [int(np.abs(bounds - bounds[-1] * k / processes).argmin()) for k in range(processes)]
+    return [blocks[lo:hi] for lo, hi in zip(cuts, cuts[1:] + [len(blocks)])]
 
 
 def _adamw_update(m, v, x, g, t: int, lr: float, weight_decay: float, scratch):
-    """AdamW step t of same-shape arrays, in place, block by block (see `AdamW.step`);
+    """AdamW step t of one block of same-shape arrays, in place (see `AdamW.step`);
     `scratch` is two buffers of at least one block."""
     b1, b2 = 0.9, 0.999
     c1, c2 = 1.0 - b1, 1.0 - b2
     b1c = 1.0 - b1 ** t
     b2c = 1.0 - b2 ** t
-    for m, v, x, g in _blocks(m, v, x, g):
-        s, u = (buf[:x.size].reshape(x.shape) for buf in scratch)
-        np.multiply(m, b1, out=m)
-        m += np.multiply(c1, g, out=s)
-        np.multiply(v, b2, out=v)
-        v += np.multiply(np.multiply(c2, g, out=s), g, out=s)
-        np.divide(m, b1c, out=u)
-        np.sqrt(np.divide(v, b2c, out=s), out=s)
-        s += 1e-8
-        u /= s
-        np.multiply(weight_decay, x, out=s)
-        s += u
-        s *= lr
-        x -= s
+    s, u = (buf[:x.size].reshape(x.shape) for buf in scratch)
+    np.multiply(m, b1, out=m)
+    m += np.multiply(c1, g, out=s)
+    np.multiply(v, b2, out=v)
+    v += np.multiply(np.multiply(c2, g, out=s), g, out=s)
+    np.divide(m, b1c, out=u)
+    np.sqrt(np.divide(v, b2c, out=s), out=s)
+    s += 1e-8
+    u /= s
+    np.multiply(weight_decay, x, out=s)
+    s += u
+    s *= lr
+    x -= s
 
 
 class AdamW:
     """Decoupled weight-decay Adam (Loshchilov & Hutter, arXiv 1711.05101)
     over a named parameter dict, with betas (0.9, 0.999) and eps 1e-8. `step`
-    updates the moments and the values in place, block by block, through two
-    scratch buffers of one block; they live only during the step, so they add
-    nothing to a training step's peak memory. Given a `ClipPool`, the step splits
-    its blocks over the pool's processes (`ClipPool.shares`)."""
+    updates the moments and the values in place, block by block (`_blocks`),
+    through two scratch buffers of one block; they live only during the step,
+    so they add nothing to a training step's peak memory."""
 
     def __init__(self, params: dict, lr: float, weight_decay: float = 1e-4):
         self.params = params
@@ -209,8 +197,9 @@ class AdamW:
         # them, so moving the moments into a pool's shared memory touches one copy
         self.m = {k: np.zeros(p.value.shape) for k, p in params.items()}
         self.v = {k: np.zeros(p.value.shape) for k, p in params.items()}
-        self._size = max((x.size for p in params.values() for (x,) in _blocks(p.value)), default=0)
-        self._all = [(name, slice(None)) for name in params]  # the serial step's one share
+        self.blocks = _blocks(params)  # the serial step's one share
+        self._size = max((np.atleast_1d(params[name].value)[rows].size
+                          for name, rows in self.blocks), default=0)
 
     def step(self, pool: Optional[ClipPool] = None):
         """m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;
@@ -219,28 +208,32 @@ class AdamW:
         result equals these expressions bit for bit; blocks keep the buffers
         in cache. Parameters without a gradient are skipped.
 
-        With a `pool` of W > 1 processes, process w updates share w of the blocks:
-        each worker gets its share of the gradients through its slot, this process
-        updates share 0 from `.grad` and then waits for every worker. The update is
-        elementwise, so the bits do not depend on W. An error in a worker is raised
-        here, and closes the pool."""
+        Given a `pool` of W processes, process w updates share w of the blocks
+        (`ClipPool.shares`): each worker gets its share of the gradients through its
+        slot, this process updates share 0 from `.grad` and then waits for every
+        worker. A pool of one is the serial step over every block. The update is
+        elementwise, so the bits do not depend on W. An error here or in a worker is
+        raised here, and closes the pool."""
         self.t += 1
         grads = {name: p.grad for name, p in self.params.items() if p.grad is not None}
-        if not (pool and pool.workers):
-            self._update(self._all, grads, self.t)
-            return
+        shares = pool.shares if pool else [self.blocks]
         try:
-            for w in range(1, len(pool.shares)):
-                pool.send_update(w, self.t, grads)
-            self._update(pool.shares[0], grads, self.t)
-            for w in range(1, len(pool.shares)):
-                pool.receive_update(w, self.t)
+            for w in range(1, len(shares)):
+                slot = pool.workers[w - 1][2]
+                for name, rows in shares[w]:
+                    if name in grads:
+                        np.copyto(np.atleast_1d(slot[name])[rows], np.atleast_1d(grads[name])[rows])
+                pool.send(w, "adamw", (self.t, list(grads)))
+            self._update(shares[0], grads, self.t)
+            for w in range(1, len(shares)):
+                pool.receive(w, f"its share of AdamW step {self.t}")
         except BaseException:
-            pool.close()  # its workers may be inside their shares of this step
+            if pool:
+                pool.close()  # its workers may be inside their shares of this step
             raise
 
     def _update(self, share: list, grads: dict, t: int):
-        """Step t of the rows that `share` names, for the weights in `grads`."""
+        """Step t of the blocks in `share`, for the weights in `grads`."""
         scratch = (np.empty(self._size), np.empty(self._size))
         for name, rows in share:
             if name in grads:
@@ -360,6 +353,16 @@ def _openblas_threads() -> list:
     return found
 
 
+def _run_clip(model, params: dict, job: tuple):
+    """Run one clip, `job` being the arguments of `_clip_backward` after the model, from
+    cleared gradients. Returns its losses and the gradients of the weights it reached,
+    by name."""
+    for p in params.values():
+        p.grad = None
+    losses = _clip_backward(model, *job)
+    return losses, {name: p.grad for name, p in params.items() if p.grad is not None}
+
+
 def _work(model, optimizer: AdamW, share: list, conn, slot: dict):
     """A worker's loop. A message is ("clip", the arguments of `_clip_backward` after the
     model) or ("adamw", (t, names)). For a clip, the worker runs it, copies the gradients
@@ -370,7 +373,6 @@ def _work(model, optimizer: AdamW, share: list, conn, slot: dict):
     master closes the pipe."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the master handles Ctrl-C and ends the pool
     signal.signal(signal.SIGTERM, signal.SIG_DFL)  # so that `ClipPool.close` ends it
-    params = optimizer.params
     while True:
         try:
             kind, job = conn.recv()
@@ -382,13 +384,10 @@ def _work(model, optimizer: AdamW, share: list, conn, slot: dict):
                 optimizer._update(share, {name: slot[name] for name in names}, t)
                 answer = None
             else:
-                for p in params.values():
-                    p.grad = None
-                losses = _clip_backward(model, *job)
-                reached = [name for name, p in params.items() if p.grad is not None]
-                for name in reached:
-                    np.copyto(slot[name], params[name].grad)
-                answer = losses, reached
+                losses, grads = _run_clip(model, optimizer.params, job)
+                for name, g in grads.items():
+                    np.copyto(slot[name], g)
+                answer = losses, list(grads)
         except Exception as e:  # re-raised by the master when it reads this answer
             answer = e
         conn.send(answer)
@@ -397,34 +396,34 @@ def _work(model, optimizer: AdamW, share: list, conn, slot: dict):
 class ClipPool:
     """The processes that run the clips of `training_step` and the blocks of
     `AdamW.step`: this one and `processes - 1` workers forked here, with clip i on
-    process i mod `processes`.
+    process i mod `processes`. `shares` cuts the optimizer's update blocks (`_blocks`),
+    in `params` order, into one contiguous share per process, of about equal element
+    count and within one block of each other (`_shares`); process w updates share w.
+    A pool of one process has one share of every block, and forks nothing.
 
     With more than one process, the optimizer's weights and its moments `m` and `v` move
     into shared memory before the fork; a weight or moment given a new array afterwards
     is not seen by the workers, and neither is a new `lr` or `weight_decay`. Each worker
     has one shared slot, shaped like the weights: it returns a clip's gradients there,
     and once the step's clips are folded, it gets its share of the summed gradient
-    there. `shares` cuts the optimizer's update blocks (`_blocks`), in `params` order,
-    into one contiguous share per process, of about equal element count and within one
-    block of each other (`_shares`); process w updates share w.
+    there.
 
     OpenBLAS runs one thread in every process while the pool is open, whatever the
     count: threaded BLAS in each process would oversubscribe the cores (2.3x slower at
     300 frames on 2 cores), and OpenBLAS at 2 threads rounds some products differently
     from 1 thread, so the bytes would depend on W and on the machine. Use as a context
     manager, or call `close`, which ends and joins every worker and gives OpenBLAS back
-    its thread count; a step that raises closes the pool, and a closed pool runs every
-    clip and every AdamW block in this process."""
+    its thread count; a step that raises closes the pool."""
 
     def __init__(self, model, processes: int, optimizer: AdamW):
         self.workers = []  # (process, pipe end, gradient slot by weight name)
-        self.shares = []  # of the update blocks, by process
+        params = optimizer.params
+        self.shares = _shares(params, processes)  # of the update blocks, by process
         self._blas = [(get(), put) for get, put in _openblas_threads()]  # count before, setter
         for _, put in self._blas:
             put(1)  # before the fork, so that the workers inherit it
         if processes < 2:
             return
-        params = optimizer.params
         values = {name: p.value for name, p in params.items()}
         for arrays in (values, optimizer.m, optimizer.v):
             for name, shared in _shared_arrays(arrays).items():
@@ -432,7 +431,6 @@ class ClipPool:
                 arrays[name] = shared
         for name, p in params.items():
             p.value = values[name]
-        self.shares = _shares(params, processes)
         ctx = multiprocessing.get_context("fork")
         try:
             for share in self.shares[1:]:
@@ -447,31 +445,13 @@ class ClipPool:
             self.close()
             raise
 
-    def send(self, w: int, job: tuple):
-        """Give worker w a clip: the arguments of `_clip_backward` after the model."""
-        self.workers[w - 1][1].send(("clip", job))
+    def send(self, w: int, kind: str, job: tuple):
+        """Give worker w a message of `kind` "clip" or "adamw" (see `_work`)."""
+        self.workers[w - 1][1].send((kind, job))
 
-    def receive(self, w: int, index: int):
-        """Worker w's answer for clip `index`: (losses, {name: slot view})."""
-        losses, reached = self._answer(w, f"clip {index}")
-        slot = self.workers[w - 1][2]
-        return losses, {name: slot[name] for name in reached}
-
-    def send_update(self, w: int, t: int, grads: dict):
-        """Copy worker w's share of `grads` into its slot and have it take AdamW step t."""
-        _, conn, slot = self.workers[w - 1]
-        for name, rows in self.shares[w]:
-            if name in grads:
-                np.copyto(np.atleast_1d(slot[name])[rows], np.atleast_1d(grads[name])[rows])
-        conn.send(("adamw", (t, list(grads))))
-
-    def receive_update(self, w: int, t: int):
-        """Wait until worker w has updated its share in AdamW step t."""
-        self._answer(w, f"its share of AdamW step {t}")
-
-    def _answer(self, w: int, what: str):
-        """Worker w's next answer. Re-raises the exception it sent; a worker that exited
-        raises ChildProcessError."""
+    def receive(self, w: int, what: str):
+        """Worker w's answer to its last message, which asked for `what`. Re-raises the
+        exception it sent; a worker that exited raises ChildProcessError."""
         proc, conn, _ = self.workers[w - 1]
         try:
             answer = conn.recv()
@@ -491,7 +471,7 @@ class ClipPool:
             conn.close()
         for threads, put in self._blas:
             put(threads)
-        self.workers, self.shares, self._blas = [], [], []
+        self.workers, self._blas = [], []
 
     def __enter__(self):
         return self
@@ -509,12 +489,12 @@ def training_step(model: GestureModel, optimizer: AdamW, batch: list,
     predict the clean sample, score Huber gesture loss plus L1
     style/emotion alignment, and backpropagate that loss over the batch
     size before the next clip starts, so memory holds one clip's graph
-    whatever the batch. Each clip's draws are taken just before it starts
-    here or is sent to a worker, in clip order, so the RNG stream does not
-    depend on where the clips run, and at most W + 1 clips' draws are
-    alive at once. With a `pool` of W processes, clip i runs on process
-    i mod W, this one included, and the pool's processes share the AdamW
-    step.
+    whatever the batch. With a `pool` of W processes, clip i runs on
+    process i mod W, this one included, and the pool's processes share the
+    AdamW step; without one, W is 1. The draws are taken in clip order, so
+    the RNG stream does not depend on W: clips 0..W-1 before any clip
+    starts, and clip i + W when clip i's turn in the fold ends, so at most
+    W + 1 clips' draws are alive at once.
     Gradients are accumulated clip by clip, in clip order, each clip as
     soon as its turn comes; as each weight gets one contribution per clip,
     the sums equal one backward over the whole batch bit for bit, whatever
@@ -527,39 +507,32 @@ def training_step(model: GestureModel, optimizer: AdamW, batch: list,
         raise ShapeError("empty training batch")
     n = len(batch)
     params = optimizer.params
-    # a generator: each clip is drawn when `job` first needs it, in clip order
-    jobs = ((ex, schedule, _draw_clip(rng, ex, schedule.steps), huber_delta, n, i)
-            for i, ex in enumerate(batch))
-    drawn = {}  # the clips drawn but not yet started, by index
-
-    def job(k):
-        while k not in drawn:
-            clip = next(jobs)
-            drawn[clip[-1]] = clip
-        return drawn.pop(k)
-
-    procs = 1 + len(pool.workers) if pool else 1
+    procs = len(pool.shares) if pool else 1
+    mine = None  # the next clip this process runs
     losses, grads = [], {}  # (l_g, l_s, l_e) per clip; the gradient sums so far
     try:
-        for w in range(1, min(procs, n)):
-            pool.send(w, job(w))
-        for i in range(n):
+        for i in range(-procs, n):  # i < 0 only draws: clips 0..W-1 go out before any runs
             w = i % procs
-            if w == 0:
-                for p in params.values():
-                    p.grad = None
-                losses.append(_clip_backward(model, *job(i)))
-                clip_grads = {name: p.grad for name, p in params.items() if p.grad is not None}
-            else:
-                clip_losses, clip_grads = pool.receive(w, i)
+            if i >= 0:
+                if w:
+                    clip_losses, reached = pool.receive(w, f"clip {i}")
+                    clip_grads = {name: pool.workers[w - 1][2][name] for name in reached}
+                else:
+                    clip_losses, clip_grads = _run_clip(model, params, mine)
                 losses.append(clip_losses)
-            for name, g in clip_grads.items():
-                if name in grads:  # out of place: two weights may hold one gradient array
-                    grads[name] = grads[name] + g
-                else:  # a worker's slot is refilled with its next clip
-                    grads[name] = g.copy() if w else g
-            if w and i + procs < n:
-                pool.send(w, job(i + procs))  # the worker's credit to refill its slot
+                for name, g in clip_grads.items():
+                    if name in grads:  # out of place: two weights may hold one gradient array
+                        grads[name] = grads[name] + g
+                    else:  # a worker's slot is refilled with its next clip
+                        grads[name] = g.copy() if w else g
+            k = i + procs  # clip i's turn has ended: draw clip i + W for process w
+            if k < n:
+                job = (batch[k], schedule, _draw_clip(rng, batch[k], schedule.steps),
+                       huber_delta, n, k)
+                if w:
+                    pool.send(w, "clip", job)
+                else:
+                    mine = job
     except BaseException:
         if pool:
             pool.close()  # its workers may be inside a clip of this step

@@ -19,10 +19,11 @@ from .config import DEFAULTS, load_config
 from .diffusion import build_schedule, sample_loop
 from .errors import ConfigError, DataError, GestureGenError, NumericalError, ParseError
 from .fileio import read_checkpoint, write_checkpoint, write_report
-from .synthetic import Dataset, check_joints, load_dataset
+from .synthetic import Dataset, check_joints, joints_key, load_dataset
 
 LOSS_HEADER = ["step", "l_total", "l_g", "l_s", "l_e"]
 WIDTH_KEYS = ("data.gesture_dim", "data.d_audio", "data.d_text", "data.n_styles")
+SKELETON_KEY = "data.skeleton"  # the training corpus's `joints_key`, in a checkpoint header
 
 
 def _corpus_widths(dataset: Dataset):
@@ -41,7 +42,8 @@ def _model_spec(cfg: dict, widths) -> fu.ModelSpec:
 
 def _checkpoint_config(cfg: dict, dataset: Dataset) -> dict:
     keep = [k for k in cfg if k.split(".")[0] in ("model", "diffusion", "train", "seed")]
-    return {k: cfg[k] for k in keep} | dict(zip(WIDTH_KEYS, _corpus_widths(dataset)))
+    return ({k: cfg[k] for k in keep} | dict(zip(WIDTH_KEYS, _corpus_widths(dataset)))
+            | {SKELETON_KEY: joints_key(dataset.skeleton)})
 
 
 def run_train(cfg: dict, dataset_dir, out_dir) -> dict:
@@ -95,10 +97,16 @@ def run_train(cfg: dict, dataset_dir, out_dir) -> dict:
     return {"loss_rows": rows, "checkpoint": ckpt_path, "loss_log": log_path}
 
 
-def load_model(checkpoint_path):
+def load_model(checkpoint_path, clip=None):
     """Rebuild a model from an MGCKPT2 file. The header is the whole spec: its
-    config keys over the defaults, plus the corpus widths under `WIDTH_KEYS`."""
+    config keys over the defaults, plus the corpus widths under `WIDTH_KEYS`.
+
+    Given `clip`, the (BVH path, skeleton) of a clip to sample from, its skeleton must
+    be the training corpus's (`check_joints`, against `SKELETON_KEY`); a header without
+    that key, written before it was added, skips the check."""
     arrays, header, step = read_checkpoint(checkpoint_path)
+    if clip and SKELETON_KEY in header:
+        check_joints(*clip, header[SKELETON_KEY], f"the checkpoint {checkpoint_path}")
     try:
         cfg = load_config(overrides={k: v for k, v in header.items() if k in DEFAULTS})
     except ConfigError as e:
@@ -123,9 +131,11 @@ def load_model(checkpoint_path):
 
 def run_sample(checkpoint_path, conditions_dir, n: int, seed: int, out_dir,
                max_conditions: int | None = None) -> list:
-    """Draw n gesture samples per condition clip and emit them as BVH."""
-    model, cfg, _, _ = load_model(checkpoint_path)
+    """Draw n gesture samples per condition clip and emit them as BVH. The conditions
+    corpus must have the skeleton the checkpoint was trained on (`load_model`)."""
     dataset = load_dataset(conditions_dir)
+    first = Path(conditions_dir) / f"{dataset.records[0].name}.bvh"
+    model, cfg, _, _ = load_model(checkpoint_path, (first, dataset.skeleton))
     spec = model.fusion.spec
     widths = _corpus_widths(dataset)[:3]
     expected = (spec.gesture_dim, spec.d_audio, spec.d_text)
@@ -208,8 +218,9 @@ def run_eval(gen_dir, ref_dir, cfg: dict, out_dir=None) -> dict:
     # back to index order
     by_name = {r.name: r for r in ref.records}
     aligns, srgrs = [], []
+    ref_joints = joints_key(ref.skeleton)
     for i, ((name, skel, clip), mat) in enumerate(zip(gen, gen_mats)):
-        check_joints(Path(gen_dir) / f"{name}.bvh", skel, ref.skeleton,
+        check_joints(Path(gen_dir) / f"{name}.bvh", skel, ref_joints,
                      f"the reference corpus {ref_dir}")
         rec = by_name.get(name.split(".")[0], ref.records[i % len(ref.records)])
         if rec.onsets.size == 0:

@@ -10,6 +10,7 @@ beat-alignment metric.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -153,10 +154,17 @@ def _int_entries(path, entries: dict, keys) -> dict:
         raise ParseError(f"{path}: needs integer {', '.join(keys)}; got {entries}") from None
 
 
-def check_joints(path, skeleton: Skeleton, ref: Skeleton, ref_name: str):
-    """A DataError naming `path` unless `skeleton` has `ref`'s joint names and parents,
-    in order. Rotation orders and offsets may differ: features hold rotation matrices."""
-    if [(j.name, j.parent) for j in skeleton.joints] != [(j.name, j.parent) for j in ref.joints]:
+def joints_key(skeleton: Skeleton) -> str:
+    """The joint names and parents of `skeleton`, in order, as one line of JSON: all that
+    `check_joints` compares. Rotation orders and offsets may differ between corpora:
+    features hold rotation matrices."""
+    return json.dumps([[j.name, j.parent] for j in skeleton.joints])
+
+
+def check_joints(path, skeleton: Skeleton, ref: str, ref_name: str):
+    """A DataError naming `path` unless `skeleton`'s `joints_key` is `ref`, that of
+    `ref_name`."""
+    if joints_key(skeleton) != ref:
         raise DataError(f"{path}: joint names or parents differ from those of {ref_name}")
 
 
@@ -172,10 +180,11 @@ def load_dataset(directory) -> Dataset:
             meta |= _int_entries(meta_path, meta, ["n_styles"])
 
     first_name, skeleton, first = clips[0]  # one skeleton per corpus
+    joints = joints_key(skeleton)
     records = []
     widths = {}  # each modality's feature width, from the first clip
     for name, skel, clip in clips:
-        check_joints(directory / f"{name}.bvh", skel, skeleton, f"{first_name}.bvh")
+        check_joints(directory / f"{name}.bvh", skel, joints, f"{first_name}.bvh")
         feats = {}
         for modality in ("audio", "text"):
             path = directory / f"{name}.{modality}.feat"

@@ -175,12 +175,10 @@ def test_adamw_shares_cut_the_blocks_in_order_within_one_block_of_the_mean(proce
     shapes = {"big": (40, 1000), "long": (dn._BLOCK + 3,), "wide": (2, dn._BLOCK + 5),
               "vec": (13,), "scalar": ()}
     params = {k: ad.tensor(np.zeros(s)) for k, s in shapes.items()}
-    blocks = [(k, rows) for k, p in params.items() for rows in dn._block_rows(p.value)]
+    blocks = dn._blocks(params)
     shares = dn._shares(params, processes)
     assert len(shares) == processes
-    within = [(k, rows) for share in shares for k, merged in share for rows in dn._block_rows(
-        params[k].value) if merged.start <= rows.start and rows.stop <= merged.stop]
-    assert within == blocks  # every block whole and once, in order
+    assert [block for share in shares for block in share] == blocks  # whole, once, in order
     size = lambda k, rows: np.atleast_1d(params[k].value)[rows].size
     largest = max(size(k, rows) for k, rows in blocks)
     mean = sum(size(k, rows) for k, rows in blocks) / processes
@@ -296,9 +294,10 @@ def test_training_step_draws_each_clip_just_before_it_starts(rng, monkeypatch):
             started.append((job[-1], len(drawn)))
         return clip_backward(model, *job)
 
-    def started_there(pool, w, job):
-        started.append((job[-1], len(drawn)))
-        return send(pool, w, job)
+    def started_there(pool, w, kind, job):
+        if kind == "clip":
+            started.append((job[-1], len(drawn)))
+        return send(pool, w, kind, job)
 
     monkeypatch.setattr(dn, "_draw_clip", counted_draw)
     monkeypatch.setattr(dn, "_clip_backward", started_here)

@@ -918,6 +918,55 @@ def test_cli_sample_rejects_a_checkpoint_array_of_another_shape(tmp_path, mini_r
     assert not list(out.glob("*.bvh"))
 
 
+def _renamed_joint_corpus(tmp_path, mini_corpus):
+    """A copy of the mini corpus with `joint2` renamed to `elbow` in every clip: the same
+    joint count and widths, another skeleton."""
+    corpus = _corpus_copy(tmp_path, mini_corpus, "renamed")
+    for path in sorted(corpus.glob("*.bvh")):
+        path.write_text(path.read_text().replace("JOINT joint2", "JOINT elbow"))
+    return corpus
+
+
+def test_checkpoint_records_the_training_skeleton(mini_run):
+    _, header, _ = read_checkpoint(mini_run["checkpoint"])
+    assert header["data.skeleton"] == json.dumps(
+        [["root", None], ["joint1", 0], ["joint2", 1], ["joint3", 2]])
+
+
+def test_cli_sample_rejects_conditions_with_another_skeleton(tmp_path, mini_run, mini_corpus,
+                                                             capsys):
+    """Before, the samples were written under the conditions' joint names, with exit 0.
+    The check runs before `--out` is made, so a rejected run writes nothing."""
+    corpus = _renamed_joint_corpus(tmp_path, mini_corpus)
+    ckpt = mini_run["checkpoint"]
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"data.dir = {corpus}\ndata.checkpoint = {ckpt}\n")
+    out = tmp_path / "gen"
+    assert cli.main(["sample", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(
+        f"data error: {corpus / 'clip_0000.bvh'}: joint names or parents differ from those "
+        f"of the checkpoint {ckpt}")
+    assert not out.exists()
+
+
+def test_a_checkpoint_without_the_skeleton_samples_the_same_bytes_and_skips_the_check(
+        tmp_path, mini_run, mini_corpus):
+    """A header written before `data.skeleton` existed still loads, samples the same
+    bytes, and cannot tell a renamed joint."""
+    arrays, header, step = read_checkpoint(mini_run["checkpoint"])
+    old_ckpt = tmp_path / "old.ckpt"
+    write_checkpoint(old_ckpt, arrays, {k: v for k, v in header.items() if k != "data.skeleton"},
+                     step)
+    written = [harness.run_sample(ckpt, mini_corpus, n=1, seed=4, out_dir=tmp_path / name,
+                                  max_conditions=2)
+               for ckpt, name in [(old_ckpt, "old"), (mini_run["checkpoint"], "new")]]
+    assert [p.name for p in written[0]] == [p.name for p in written[1]]
+    assert [p.read_bytes() for p in written[0]] == [p.read_bytes() for p in written[1]]
+    renamed = harness.run_sample(old_ckpt, _renamed_joint_corpus(tmp_path, mini_corpus), n=1,
+                                 seed=4, out_dir=tmp_path / "renamed-out", max_conditions=1)
+    assert "JOINT elbow" in renamed[0].read_text()
+
+
 def test_cli_sample_rejects_condition_width_mismatch(tmp_path, mini_run, mini_cfg, capsys):
     corpus = tmp_path / "narrow"
     narrow = dict(mini_cfg, **{"synthetic.d_audio": 12, "synthetic.n_clips": 2})
