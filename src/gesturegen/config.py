@@ -29,7 +29,6 @@ DEFAULTS = {
     "model.use_attention": True,
     "model.use_mamba": True,
     "model.use_conv": False,
-    "model.residual": True,
     "model.window": 30,
     "model.n_state": 16,
     "model.expand": 2,

@@ -80,8 +80,7 @@ def build_variant(spec: fu.ModelSpec, seed: int) -> DenoiserWeights:
 
 
 def mambattn_block(weights: MambaAttnBlockWeights, x: Tensor, spec: fu.ModelSpec) -> Tensor:
-    """LN -> (optional conv) -> (optional self-attn) -> (optional Mamba) -> LN,
-    with a residual from the block input when configured."""
+    """LN -> (optional conv) -> (optional self-attn) -> (optional Mamba) -> LN, plus x."""
     if x.value.shape[1] != spec.d:
         raise ShapeError(f"block input width {x.value.shape[1]} != configured d {spec.d}")
     h = ad.layer_norm(x, weights.ln1_gamma, weights.ln1_beta)
@@ -93,8 +92,7 @@ def mambattn_block(weights: MambaAttnBlockWeights, x: Tensor, spec: fu.ModelSpec
         h = ad.matmul(attended, weights.w_o)
     if spec.use_mamba:
         h = ssm.mamba_block_forward(weights.mamba, h)
-    y = ad.layer_norm(h, weights.ln2_gamma, weights.ln2_beta)
-    return x + y if spec.residual else y
+    return x + ad.layer_norm(h, weights.ln2_gamma, weights.ln2_beta)
 
 
 def denoiser_forward(weights: DenoiserWeights, f_fuse: Tensor) -> Tensor:

@@ -36,7 +36,6 @@ class ModelSpec:
     use_attention: bool = True
     use_mamba: bool = True
     use_conv: bool = False
-    residual: bool = True
     window: int = 30           # cross-local attention window (frames)
     n_state: int = ssm.SSM_STATE_DIM
     expand: int = ssm.SSM_EXPAND

@@ -26,14 +26,6 @@ WIDTH_KEYS = ("data.gesture_dim", "data.d_audio", "data.d_text", "data.n_styles"
 SKELETON_KEY = "data.skeleton"  # the training corpus's `joints_key`, in a checkpoint header
 
 
-def _corpus_widths(dataset: Dataset):
-    """(gesture, audio, text, styles) widths of a corpus, as in `WIDTH_KEYS`;
-    the feature widths are those of the clips' arrays, whatever the meta says."""
-    first = dataset.records[0]
-    return (dataset.gesture_dim, first.audio.shape[1], first.text.shape[1],
-            dataset.meta.get("n_styles", max(r.style_id for r in dataset.records) + 1))
-
-
 def _model_spec(cfg: dict, widths) -> fu.ModelSpec:
     """`cfg`'s `model.*` keys plus the corpus widths (in `WIDTH_KEYS` order), by suffix."""
     keys = {k: cfg[k] for k in cfg if k.startswith("model.")} | dict(zip(WIDTH_KEYS, map(int, widths)))
@@ -42,7 +34,7 @@ def _model_spec(cfg: dict, widths) -> fu.ModelSpec:
 
 def _checkpoint_config(cfg: dict, dataset: Dataset) -> dict:
     keep = [k for k in cfg if k.split(".")[0] in ("model", "diffusion", "train", "seed")]
-    return ({k: cfg[k] for k in keep} | dict(zip(WIDTH_KEYS, _corpus_widths(dataset)))
+    return ({k: cfg[k] for k in keep} | dict(zip(WIDTH_KEYS, dataset.widths))
             | {SKELETON_KEY: joints_key(dataset.skeleton)})
 
 
@@ -61,7 +53,7 @@ def run_train(cfg: dict, dataset_dir, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dataset = load_dataset(dataset_dir)
-    model = dn.build_model(_model_spec(cfg, _corpus_widths(dataset)), cfg["seed"])
+    model = dn.build_model(_model_spec(cfg, dataset.widths), cfg["seed"])
     schedule = build_schedule(cfg["diffusion.steps"], cfg["diffusion.beta_start"],
                               cfg["diffusion.beta_end"])
     opt = dn.AdamW(model.named(), lr=cfg["train.lr"],
@@ -105,6 +97,8 @@ def load_model(checkpoint_path, clip=None):
     be the training corpus's (`check_joints`, against `SKELETON_KEY`); a header without
     that key, written before it was added, skips the check."""
     arrays, header, step = read_checkpoint(checkpoint_path)
+    if header.get("model.residual", "True") != "True":  # every block now adds its input
+        raise DataError(f"{checkpoint_path}: model.residual={header['model.residual']}: cannot load")
     if clip and SKELETON_KEY in header:
         check_joints(*clip, header[SKELETON_KEY], f"the checkpoint {checkpoint_path}")
     try:
@@ -137,7 +131,7 @@ def run_sample(checkpoint_path, conditions_dir, n: int, seed: int, out_dir,
     first = Path(conditions_dir) / f"{dataset.records[0].name}.bvh"
     model, cfg, _, _ = load_model(checkpoint_path, (first, dataset.skeleton))
     spec = model.fusion.spec
-    widths = _corpus_widths(dataset)[:3]
+    widths = dataset.widths[:3]
     expected = (spec.gesture_dim, spec.d_audio, spec.d_text)
     if widths != expected:
         raise ConfigError(f"conditions (gesture, audio, text) widths {widths} do not match "
@@ -151,6 +145,7 @@ def run_sample(checkpoint_path, conditions_dir, n: int, seed: int, out_dir,
                               cfg["diffusion.beta_end"])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    layout = dataset.skeleton.layout()
     written = []
     for ci, rec in enumerate(records):
         def denoise(x_t, t, rec=rec):
@@ -160,7 +155,7 @@ def run_sample(checkpoint_path, conditions_dir, n: int, seed: int, out_dir,
         for k in range(n):
             feats = sample_loop(denoise, rec.x0.shape, schedule,
                                 seed=seed * 1_000_003 + ci * 1_000 + k)
-            clip = features_to_clip(feats, dataset.fps, dataset.layout)
+            clip = features_to_clip(feats, dataset.fps, layout)
             euler = clip_to_euler(clip)
             path = out / f"{rec.name}.sample{k:02d}.bvh"
             path.write_text(write_bvh(dataset.skeleton, euler))

@@ -119,19 +119,20 @@ def gen_synthetic_dataset(spec: SyntheticSpec, out_dir) -> list:
 
 @dataclass
 class ClipRecord(TrainExample):
-    """A corpus clip: its training example plus its name, parsed clip and beat onsets."""
+    """A corpus clip: its training example plus its name and beat onsets."""
 
     name: str
-    clip: MotionClip  # Euler degrees, as parsed
     onsets: np.ndarray
 
 
 @dataclass
 class Dataset:
+    """A corpus's records plus what all its clips share, decided once by `load_dataset`."""
+
     records: list
     skeleton: Skeleton
-    layout: JointLayout
-    meta: dict  # dataset.meta's strings, with n_styles as an int
+    fps: float
+    n_styles: int  # dataset.meta's n_styles, else one past the largest style id
 
     @property
     def gesture_dim(self) -> int:
@@ -142,8 +143,10 @@ class Dataset:
         return self.records[0].x0.shape[0]
 
     @property
-    def fps(self) -> float:
-        return self.records[0].clip.fps
+    def widths(self) -> tuple:
+        """(gesture, audio, text, style) widths as in `harness.WIDTH_KEYS`, from the arrays."""
+        first = self.records[0]
+        return self.gesture_dim, first.audio.shape[1], first.text.shape[1], self.n_styles
 
 
 def _int_entries(path, entries: dict, keys) -> dict:
@@ -172,19 +175,23 @@ def load_dataset(directory) -> Dataset:
     """Read a corpus produced by `gen_synthetic_dataset` (or matching it)."""
     directory = Path(directory)
     clips = read_bvh_dir(directory)
-    meta = {}
+    n_styles = math.inf  # the style ids' bound: dataset.meta's count, or none
     meta_path = directory / "dataset.meta"
     if meta_path.is_file():
         meta = read_key_values(meta_path)
         if "n_styles" in meta:
-            meta |= _int_entries(meta_path, meta, ["n_styles"])
+            n_styles = _int_entries(meta_path, meta, ["n_styles"])["n_styles"]
 
-    first_name, skeleton, first = clips[0]  # one skeleton per corpus
+    first_name, skeleton, first = clips[0]  # one skeleton and one frame rate per corpus
     joints = joints_key(skeleton)
     records = []
     widths = {}  # each modality's feature width, from the first clip
     for name, skel, clip in clips:
-        check_joints(directory / f"{name}.bvh", skel, joints, f"{first_name}.bvh")
+        path = directory / f"{name}.bvh"
+        check_joints(path, skel, joints, f"{first_name}.bvh")
+        if clip.fps != first.fps:
+            raise DataError(f"{path}: frame rate {clip.fps:g} fps differs from the "
+                            f"{first.fps:g} fps of {first_name}.bvh")
         feats = {}
         for modality in ("audio", "text"):
             path = directory / f"{name}.{modality}.feat"
@@ -195,7 +202,7 @@ def load_dataset(directory) -> Dataset:
                                 f"expected (frames, width) {want}")
         label_path = directory / f"{name}.labels"
         labels = _int_entries(label_path, read_key_values(label_path), ("style", "emotion"))
-        for key, n in (("style", meta.get("n_styles", math.inf)), ("emotion", N_EMOTIONS)):
+        for key, n in (("style", n_styles), ("emotion", N_EMOTIONS)):
             if not 0 <= labels[key] < n:
                 raise DataError(f"{label_path}: {key} id {labels[key]} outside [0, {n})")
         onset_path = directory / f"{name}.onsets"
@@ -203,10 +210,11 @@ def load_dataset(directory) -> Dataset:
         if onset_path.is_file():
             onsets = read_float_lines(onset_path)
         records.append(ClipRecord(
-            name=name, clip=clip, x0=clip_to_features(clip), audio=feats["audio"],
-            text=feats["text"], style_id=labels["style"], emotion_id=labels["emotion"],
-            onsets=onsets))
+            name=name, x0=clip_to_features(clip), audio=feats["audio"], text=feats["text"],
+            style_id=labels["style"], emotion_id=labels["emotion"], onsets=onsets))
     shapes = {r.x0.shape for r in records}
     if len(shapes) != 1:
         raise DataError(f"corpus clips have heterogeneous shapes: {sorted(shapes)}")
-    return Dataset(records, skeleton, first.layout, meta)
+    if n_styles == math.inf:
+        n_styles = max(r.style_id for r in records) + 1
+    return Dataset(records, skeleton, first.fps, n_styles)

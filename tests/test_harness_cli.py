@@ -301,7 +301,7 @@ def test_run_sample_writes_parseable_bvh(tmp_path, mini_run, mini_corpus):
     for p in written:
         _, clip = parse_bvh(p.read_text())
         assert clip.frames == ds.frames
-        assert clip.layout.joint_count == ds.layout.joint_count
+        assert clip.layout.joint_count == ds.skeleton.layout().joint_count
 
 
 def test_run_sample_deterministic(tmp_path, mini_run, mini_corpus):
@@ -726,6 +726,9 @@ def test_cli_rejects_a_non_finite_config_value(tmp_path, mini_corpus, capsys, co
     assert not out.exists()
 
 
+TO_60_FPS = (b"Frame Time: 0.033333333333", b"Frame Time: 0.016666666667")
+
+
 def _corpus_copy(tmp_path, mini_corpus, name):
     copy = tmp_path / name
     shutil.copytree(mini_corpus, copy)
@@ -746,8 +749,12 @@ def _corpus_copy(tmp_path, mini_corpus, name):
     ("eval", "clip_0000.onsets", lambda b: b + b"nan\n"),
     # a corpus keeps one skeleton: a renamed joint would be paired by index with another
     ("train", "clip_0001.bvh", lambda b: b.replace(b"JOINT joint1", b"JOINT elbow")),
+    # and one frame rate: a 60 fps clip among 30 fps ones was trained, and sampled at 30 fps
+    ("train", "clip_0001.bvh", lambda b: b.replace(*TO_60_FPS)),
+    ("sample", "clip_0001.bvh", lambda b: b.replace(*TO_60_FPS)),
 ], ids=["labels-no-style", "labels-no-emotion", "labels-float", "meta-word", "meta-float",
-        "feat-not-utf8", "feat-negative-shape", "feat-nan", "onsets-nan", "bvh-renamed-joint"])
+        "feat-not-utf8", "feat-negative-shape", "feat-nan", "onsets-nan", "bvh-renamed-joint",
+        "bvh-frame-rate-train", "bvh-frame-rate-sample"])
 def test_cli_rejects_corrupt_side_file(tmp_path, mini_corpus, mini_run, capsys,
                                        command, file, edit):
     corpus = _corpus_copy(tmp_path, mini_corpus, "corrupt")
@@ -759,9 +766,11 @@ def test_cli_rejects_corrupt_side_file(tmp_path, mini_corpus, mini_run, capsys,
     cfg.write_text(f"data.dir = {corpus}\ndata.checkpoint = {mini_run['checkpoint']}\n"
                    f"data.gen_dir = {mini_corpus}\ntrain.steps = 1\n"
                    "eval.extractor_steps = 5\n")
-    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error") and str(path) in err
+    assert not (out / "loss.csv" if command == "train" else out).exists()
 
 
 @pytest.mark.parametrize("file", ["clip_0001.labels", "clip_0001.onsets", "clip_0001.bvh",
@@ -965,6 +974,27 @@ def test_a_checkpoint_without_the_skeleton_samples_the_same_bytes_and_skips_the_
     renamed = harness.run_sample(old_ckpt, _renamed_joint_corpus(tmp_path, mini_corpus), n=1,
                                  seed=4, out_dir=tmp_path / "renamed-out", max_conditions=1)
     assert "JOINT elbow" in renamed[0].read_text()
+
+
+def test_a_checkpoint_whose_blocks_skip_their_input_is_rejected(tmp_path, mini_run,
+                                                                mini_corpus, capsys):
+    """Headers written while `model.residual` was settable hold it. `True` loads as
+    before; `False` would otherwise be dropped as an unknown key and its weights built
+    into a residual model with exit 0, so it exits 3 and names the checkpoint."""
+    arrays, header, step = read_checkpoint(mini_run["checkpoint"])
+    assert "model.residual" not in header
+    ckpt = tmp_path / "old.ckpt"
+    write_checkpoint(ckpt, arrays, header | {"model.residual": True}, step)
+    old, new = (harness.load_model(c)[0].named() for c in (ckpt, mini_run["checkpoint"]))
+    assert all(old[k].value.tobytes() == p.value.tobytes() for k, p in new.items())
+
+    write_checkpoint(ckpt, arrays, header | {"model.residual": False}, step)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"data.dir = {mini_corpus}\ndata.checkpoint = {ckpt}\n")
+    out = tmp_path / "gen"
+    assert cli.main(["sample", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"data error: {ckpt}: model.residual=False")
+    assert not out.exists()
 
 
 def test_cli_sample_rejects_condition_width_mismatch(tmp_path, mini_run, mini_cfg, capsys):

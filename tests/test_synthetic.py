@@ -63,7 +63,8 @@ def test_load_dataset_roundtrip(tmp_path):
     assert ds.gesture_dim == 3 + 9 * 3
     assert ds.frames == 40
     assert abs(ds.fps - 30.0) < 1e-6
-    assert ds.meta["n_clips"] == "4"
+    assert ds.n_styles == 2
+    assert "n_clips=4\n" in (tmp_path / "d" / "dataset.meta").read_text()
     r = ds.records[0]
     assert r.audio.shape == (40, 10)
     assert r.text.shape == (40, 4)
@@ -88,7 +89,7 @@ def test_load_dataset_keeps_one_skeleton_but_not_one_channel_order(tmp_path):
     clip = clip_to_euler(MotionClip(rm.fps, rm.root_translation, rm.rotations, skel.layout()))
     path.write_text(write_bvh(skel, clip))
     record = synthetic.load_dataset(d).records[1]
-    assert record.clip.layout.orders == ["ZXY", "XYZ", "ZXY"]
+    assert read_bvh(path)[1].layout.orders == ["ZXY", "XYZ", "ZXY"]
     assert np.abs(record.x0 - x0).max() < 1e-6
 
     skel.joints[2].parent = 0  # same names, joint2 now hangs from the root
@@ -96,6 +97,21 @@ def test_load_dataset_keeps_one_skeleton_but_not_one_channel_order(tmp_path):
     with pytest.raises(DataError) as e:
         synthetic.load_dataset(d)
     assert str(path) in str(e.value)
+
+
+def test_load_dataset_keeps_one_frame_rate(tmp_path):
+    """A clip at 60 fps among 30 fps clips would train, and its samples be written at
+    30 fps; so it is a DataError that names the clip."""
+    d = tmp_path / "d"
+    synthetic.gen_synthetic_dataset(small_spec(), d)
+    path = d / "clip_0001.bvh"
+    text = path.read_text()
+    assert "Frame Time: 0.033333333333\n" in text
+    path.write_text(text.replace("Frame Time: 0.033333333333", "Frame Time: 0.016666666667"))
+    with pytest.raises(DataError) as e:
+        synthetic.load_dataset(d)
+    assert str(e.value).startswith(f"{path}: frame rate 60 fps differs from the 30 fps of "
+                                   "clip_0000.bvh")
 
 
 def test_load_dataset_requires_clips(tmp_path):
@@ -119,7 +135,8 @@ def test_emotion_frequency_separates_motion(tmp_path):
 
     for r in ds.records:
         want = synthetic.emotion_frequency(r.emotion_id)
-        assert abs(dominant_freq(r.clip) - want) < 0.3, (r.name, want)
+        _, clip = read_bvh(tmp_path / "d" / f"{r.name}.bvh")
+        assert abs(dominant_freq(clip) - want) < 0.3, (r.name, want)
 
 
 def test_audio_encodes_labels(tmp_path):
@@ -142,4 +159,5 @@ def test_onsets_match_detected_beats(tmp_path):
     synthetic.gen_synthetic_dataset(small_spec(), tmp_path / "d")
     ds = synthetic.load_dataset(tmp_path / "d")
     for r in ds.records:
-        assert np.allclose(r.onsets, detect_gesture_beats(r.clip), atol=1e-6)
+        _, clip = read_bvh(tmp_path / "d" / f"{r.name}.bvh")
+        assert np.allclose(r.onsets, detect_gesture_beats(clip), atol=1e-6)
